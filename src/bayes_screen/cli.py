@@ -21,8 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, diagnostics, hyperc, io
-from .data import GHG, GZS, FixedC, Precomputed, PriorConfig, ValidationError
-from .exact import LogScore, check_sparse_riesz, enumerate_posterior, log_unnorm_posterior, map_model
+from .data import GHG, GZS, FixedC, PriorConfig, ValidationError
+from .exact import LogScore, check_sparse_riesz, enumerate_posterior, map_model
+# perfbench/tracing.py wraps cli.log_unnorm_posterior, so the name stays here
+from .exact import log_unnorm_posterior  # noqa: F401
 from .gibbs import ChainAbort, ChainConfig, chain_seed, merge_chains, run_chain
 from .inference import aggregate_records, credible_intervals, summarize_run
 from .simgen import Example1Spec, Example2Spec, gen_example1, gen_example2
@@ -100,7 +102,6 @@ def add_chain_args(sp):
     sp.add_argument("--thin", type=int, default=1)
     sp.add_argument("--chains", type=int, default=1)
     sp.add_argument("--record-beta", action="store_true")
-    sp.add_argument("--kernel", choices=("auto", "cython", "python"), default="auto")
 
 
 def generator_spec(args):
@@ -172,29 +173,27 @@ def _run_chains(dataset, prior, args, replication: int = 0):
     tuning = hyperc.MhTuning(sigma_kappa=args.sigma_kappa)
     outputs = []
     for chain in range(args.chains):
-        derived = int(chain_seed(args.seed, replication, chain).generate_state(1, dtype=np.uint64)[0])
         cfg = ChainConfig(
             n_iter=args.iters,
             n_burn=args.burn,
             thin=args.thin,
-            seed=derived,
+            seed=chain_seed(args.seed, replication, chain),
             record_beta=args.record_beta,
-            kernel=None if args.kernel == "auto" else args.kernel,
         )
         outputs.append(run_chain(dataset, prior, cfg, tuning))
     return outputs
 
 
-def _chain_diagnostics(outputs):
-    """diagnostics.csv rows: quantity,rhat,ess_min over the scalar chains."""
+def _chain_diagnostics(sigma_sq_chains, c_chains):
+    """(quantity, rhat, ess_min) rows over per-chain sigma^2 and c draws."""
     rows = []
     for name, chains in (
-        ("sigma_sq", [o.sigma_sq_draws for o in outputs]),
-        ("log_c", [np.log(o.c_draws) for o in outputs]),
+        ("sigma_sq", sigma_sq_chains),
+        ("log_c", [np.log(ch) for ch in c_chains]),
     ):
         length = min(len(ch) for ch in chains)
         stacked = np.array([ch[:length] for ch in chains])
-        rhat = diagnostics.gelman_rubin(stacked) if len(outputs) >= 2 else float("nan")
+        rhat = diagnostics.gelman_rubin(stacked) if len(chains) >= 2 else float("nan")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # constant chains (fixed c) are fine here
             ess_min = min(diagnostics.ess(ch) for ch in chains)
@@ -202,7 +201,18 @@ def _chain_diagnostics(outputs):
     return rows
 
 
+def _write_diagnostics(path, rows) -> None:
+    lines = ["quantity,rhat,ess_min"] + [f"{q},{io.format_float(r)},{io.format_float(e)}" for q, r, e in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def cmd_fit(args) -> int:
+    draws = ChainConfig(n_iter=args.iters, n_burn=args.burn, thin=args.thin).n_draws
+    if draws < diagnostics.MIN_ESS_LENGTH:
+        raise ValidationError(
+            f"each chain would keep {draws} draws, ceil((iters - burn) / thin); "
+            f"diagnostics need at least {diagnostics.MIN_ESS_LENGTH}"
+        )
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     dataset = io.read_dataset(args.data)
@@ -212,9 +222,8 @@ def cmd_fit(args) -> int:
         io.write_chain_output(outdir, out, thin=args.thin, label=f"chain{i}")
     merged = merge_chains(outputs)
 
-    diag_rows = _chain_diagnostics(outputs)
-    lines = ["quantity,rhat,ess_min"] + [f"{q},{io.format_float(r)},{io.format_float(e)}" for q, r, e in diag_rows]
-    (outdir / "diagnostics.csv").write_text("\n".join(lines) + "\n")
+    diag_rows = _chain_diagnostics([o.sigma_sq_draws for o in outputs], [o.c_draws for o in outputs])
+    _write_diagnostics(outdir / "diagnostics.csv", diag_rows)
     io.write_meta(outdir / "meta.json", resolved_config(args), args.seed)
 
     map_gamma = merged.modal_model()
@@ -255,14 +264,9 @@ def cmd_exact(args) -> int:
         if "too large" in str(exc):
             raise ValidationError(str(exc) + " - use `fit` for stochastic search") from exc
         raise
-    pre = Precomputed.from_dataset(dataset)
-    scores = {
-        g: log_unnorm_posterior(g, c, dataset, prior, args.tn, pre).value
-        for g in post.entries
-    }
-    io.write_enumeration(outdir / "enumeration.csv", post.entries, scores)
+    io.write_enumeration(outdir / "enumeration.csv", post.entries, post.log_scores)
     io.write_meta(outdir / "meta.json", resolved_config(args), args.seed)
-    best = map_model(LogScore(value=v, gamma=g) for g, v in scores.items())
+    best = map_model(LogScore(value=v, gamma=g) for g, v in post.log_scores.items())
     print(f"enumerated {len(post.entries)} models; MAP = {{{best.label() or 'null'}}} "
           f"prob {post.prob(best):.4f}")
     return EXIT_OK
@@ -272,9 +276,7 @@ def _replicate_one(payload):
     """Worker: generate data, run chains, summarize. Top-level for pickling."""
     (rep, spec, args_dict) = payload
     args = argparse.Namespace(**args_dict)
-    # chain index 2^31 is reserved for the data-generation stream
-    data_seed = int(chain_seed(args.seed, rep, 2**31).generate_state(1, dtype=np.uint64)[0])
-    dataset, truth = generate(spec, data_seed)
+    dataset, truth = generate(spec, chain_seed(args.seed, rep, 2**31))
     prior = prior_from_args(args, dataset.n, dataset.p)
     try:
         outputs = _run_chains(dataset, prior, args, replication=rep)
@@ -347,22 +349,11 @@ def cmd_replicate(args) -> int:
 def cmd_diagnose(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    chains = {"sigma_sq": [], "log_c": []}
-    for path in args.scalars:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        chains["sigma_sq"].append(data[:, 1])
-        chains["log_c"].append(np.log(data[:, 2]))
-    rows = ["quantity,rhat,ess_min"]
-    for name, chs in chains.items():
-        length = min(len(ch) for ch in chs)
-        stacked = np.array([ch[:length] for ch in chs])
-        rhat = diagnostics.gelman_rubin(stacked) if len(chs) >= 2 else float("nan")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ess_min = min(diagnostics.ess(ch) for ch in chs)
-        rows.append(f"{name},{io.format_float(rhat)},{io.format_float(ess_min)}")
+    scalars = [np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2) for path in args.scalars]
+    rows = _chain_diagnostics([s[:, 1] for s in scalars], [s[:, 2] for s in scalars])
+    _write_diagnostics(outdir / "diagnostics.csv", rows)
+    for name, rhat, ess_min in rows:
         print(f"R-hat[{name}] = {rhat:.4f}  min ESS = {ess_min:.0f}")
-    (outdir / "diagnostics.csv").write_text("\n".join(rows) + "\n")
     return EXIT_OK
 
 
@@ -437,10 +428,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        # peek at --config so file values become subparser defaults
-        if "--config" in argv:
-            cfg_path = argv[argv.index("--config") + 1]
-            values = load_config_file(cfg_path)
+        # peek at --config so file values become subparser defaults; a
+        # trailing --config has no path, which argparse reports (exit 2)
+        if "--config" in argv[:-1]:
+            values = load_config_file(argv[argv.index("--config") + 1])
             if argv and argv[0] in parser._subparsers._group_actions[0].choices:
                 subparser = parser._subparsers._group_actions[0].choices[argv[0]]
                 apply_config_defaults(subparser, values)

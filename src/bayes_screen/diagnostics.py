@@ -9,6 +9,8 @@ import numpy as np
 
 from .data import ValidationError
 
+MIN_ESS_LENGTH = 10
+
 
 def gelman_rubin(chains) -> float:
     """Potential scale reduction factor over m >= 2 equal-length chains.
@@ -52,8 +54,8 @@ def ess(chain) -> float:
     warning and reported as the full length."""
     x = np.asarray(chain, dtype=np.float64).ravel()
     n = x.shape[0]
-    if n < 10:
-        raise ValidationError("chain too short for ESS (need length >= 10)")
+    if n < MIN_ESS_LENGTH:
+        raise ValidationError(f"chain too short for ESS (need length >= {MIN_ESS_LENGTH})")
     if np.all(x == x[0]):
         warnings.warn("constant chain: ESS reported as chain length", stacklevel=2)
         return float(n)

@@ -32,9 +32,12 @@ class LogScore:
 
 @dataclass(frozen=True)
 class EnumeratedPosterior:
-    """Normalized posterior over all models with size <= t_n."""
+    """Normalized posterior over all models with size <= t_n. ``entries``
+    maps each model to its probability, ``log_scores`` to its unnormalized
+    log posterior mass (the value ``log_unnorm_posterior`` returns)."""
 
     entries: dict
+    log_scores: dict
     t_n: int
     c: float
 
@@ -111,9 +114,12 @@ def enumerate_posterior(d: Dataset, prior: PriorConfig, c: float, t_n: int) -> E
         raise ValidationError("model space too large for enumeration")
     pre = Precomputed.from_dataset(d)
     gammas = list(iter_models(d.p, t_n))
-    scores = np.array([_score_given_c(g, c, d, pre, prior.nu) for g in gammas])
-    probs = np.exp(scores - logsumexp(scores))
-    return EnumeratedPosterior(entries=dict(zip(gammas, probs)), t_n=t_n, c=c)
+    scores = [_score_given_c(g, c, d, pre, prior.nu) for g in gammas]
+    arr = np.array(scores)
+    probs = np.exp(arr - logsumexp(arr))
+    return EnumeratedPosterior(
+        entries=dict(zip(gammas, probs)), log_scores=dict(zip(gammas, scores)), t_n=t_n, c=c
+    )
 
 
 def enumerate_posterior_with_tn_prior(d: Dataset, prior: PriorConfig, c: float) -> dict:
@@ -187,11 +193,13 @@ def log_unnorm_posterior_g(
     Integrates the unnormalized kernel (the proportionality form), which is
     the quantity whose ratios drive selection.
     """
+    if n_nodes < 1:
+        raise ValidationError("n_nodes must be >= 1")
     if len(gamma) > t_n:
         return None
     logpdf, c_lo, c_hi = _c_prior_logpdf_and_bounds(prior.c_prior, d.p)
     pre = Precomputed.from_dataset(d)
-    nodes, weights = np.polynomial.legendre.leggauss(max(n_nodes, 128))
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     k_lo, k_hi = math.log(c_lo), math.log(c_hi)
     kappa = 0.5 * (k_hi - k_lo) * nodes + 0.5 * (k_hi + k_lo)
     c_vals = np.exp(kappa)

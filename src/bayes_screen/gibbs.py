@@ -28,7 +28,7 @@ from .data import (
     ValidationError,
     validate_dataset,
 )
-from .kernel import get_sweep_kernel
+from .kernel import sweep_blocks
 
 RESIDUAL_REBUILD_EVERY = 1000
 
@@ -49,13 +49,17 @@ class ChainConfig:
     seed: int = 0
     record_beta: bool = False
     init: SamplerState | None = None
-    kernel: str | None = None
 
     def __post_init__(self):
         if not (0 <= self.n_burn < self.n_iter):
             raise ValidationError("need 0 <= n_burn < n_iter")
         if self.thin < 1:
             raise ValidationError("thin must be >= 1")
+
+    @property
+    def n_draws(self) -> int:
+        """Scalar (and beta) draws a chain records: ceil((n_iter - n_burn) / thin)."""
+        return math.ceil((self.n_iter - self.n_burn) / self.thin)
 
 
 @dataclass
@@ -114,52 +118,6 @@ def default_initial_state(d: Dataset, prior: PriorConfig, rng: np.random.Generat
     )
 
 
-def block_update(
-    state: SamplerState,
-    j: int,
-    pre: Precomputed,
-    prior: PriorConfig,
-    rng: np.random.Generator,
-    x: np.ndarray,
-) -> None:
-    """Single (beta_j, gamma_j) block update, drawing its own variates.
-
-    Unit-level form of the kernel step; full sweeps use the batched kernel.
-    """
-    col = x[:, j]
-    k_other = state.n_active - (1 if state.gamma_mask[j] else 0)
-    if k_other == state.t_n:
-        if state.gamma_mask[j]:
-            state.residual += col * state.beta[j]
-            state.beta[j] = 0.0
-            state.gamma_mask[j] = 0
-        return
-
-    u = float(state.residual @ col) + state.beta[j] * pre.col_sq_norms[j]
-    if not math.isfinite(u):
-        raise FloatingPointError(f"non-finite u at coordinate {j}")
-    v2 = pre.col_sq_norms[j] + 1.0 / state.c
-    log_theta = -0.5 * math.log(state.c) - 0.5 * math.log(v2) + u * u / (
-        2.0 * state.sigma_sq * v2
-    )
-    if log_theta >= 0.0:
-        e = math.exp(-log_theta)
-        p0 = e / (1.0 + e)
-    else:
-        p0 = 1.0 / (1.0 + math.exp(log_theta))
-
-    if rng.random() < p0:
-        b_new = 0.0
-        state.gamma_mask[j] = 0
-    else:
-        b_new = u / v2 + math.sqrt(state.sigma_sq / v2) * rng.standard_normal()
-        state.gamma_mask[j] = 1
-    diff = b_new - state.beta[j]
-    if diff != 0.0:
-        state.residual -= col * diff
-        state.beta[j] = b_new
-
-
 def update_sigma_sq(state: SamplerState, d: Dataset, prior: PriorConfig, rng: np.random.Generator) -> None:
     """Conjugate inverse-gamma draw for the error variance."""
     k = state.n_active
@@ -189,18 +147,27 @@ def _update_c(state, prior, tuning, rng):
     raise ValidationError(f"unknown c prior {cp!r}")
 
 
+def get_sweep_kernel(impl=None):
+    """The sweep kernel ``run_chain`` passes to ``gibbs_sweep``.
+
+    ``run_chain`` looks it up here once per chain, so that perfbench's
+    tracer can wrap it; there is one kernel, so ``impl`` must be None.
+    """
+    if impl is not None:
+        raise ValueError(f"unknown kernel implementation {impl!r}")
+    return sweep_blocks
+
+
 def gibbs_sweep(
     state: SamplerState,
     d: Dataset,
     pre: Precomputed,
     prior: PriorConfig,
     rng: np.random.Generator,
-    sweep_kernel=None,
+    sweep_kernel=sweep_blocks,
     tuning: hyperc.MhTuning = hyperc.MhTuning(),
 ):
     """One full sweep: blocks j = 1..p, then sigma^2, then c, then t_n."""
-    if sweep_kernel is None:
-        sweep_kernel = get_sweep_kernel()
     uniforms = rng.random(d.p)
     normals = rng.standard_normal(d.p)
     sweep_kernel(
@@ -240,7 +207,7 @@ def run_chain(
     rng = np.random.default_rng(cfg.seed)
     pre = Precomputed.from_dataset(d)
     state = cfg.init.copy() if cfg.init is not None else default_initial_state(d, prior, rng)
-    sweep_kernel = get_sweep_kernel(cfg.kernel)
+    sweep_kernel = get_sweep_kernel()
 
     model_counts: dict = {}
     sigma_draws, c_draws, tn_draws, beta_rows = [], [], [], []
@@ -299,7 +266,7 @@ def merge_chains(outputs) -> ChainOutput:
     for out in outputs:
         for gamma, cnt in out.model_counts.items():
             counts[gamma] = counts.get(gamma, 0) + cnt
-    rates = [o.mh_accept_rate for o in outputs if o.mh_accept_rate is not None]
+    mh = [(o.mh_accept_rate, o.n_kept) for o in outputs if o.mh_accept_rate is not None]
     has_beta = all(o.beta_draws is not None for o in outputs)
     return ChainOutput(
         model_counts=counts,
@@ -307,7 +274,7 @@ def merge_chains(outputs) -> ChainOutput:
         c_draws=np.concatenate([o.c_draws for o in outputs]),
         t_n_draws=np.concatenate([o.t_n_draws for o in outputs]),
         beta_draws=np.concatenate([o.beta_draws for o in outputs]) if has_beta else None,
-        mh_accept_rate=float(np.mean(rates)) if rates else None,
+        mh_accept_rate=sum(r * n for r, n in mh) / sum(n for _, n in mh) if mh else None,
         c_update_skips=sum(o.c_update_skips for o in outputs),
         seed=outputs[0].seed,
         p=outputs[0].p,
@@ -315,33 +282,8 @@ def merge_chains(outputs) -> ChainOutput:
     )
 
 
-def chain_seed(master_seed: int, replication: int = 0, chain: int = 0) -> np.random.SeedSequence:
-    """Fixed derivation of per-chain random streams from a master seed."""
-    return np.random.SeedSequence([int(master_seed), int(replication), int(chain)])
-
-
-def run_chain_derived(
-    d: Dataset,
-    prior: PriorConfig,
-    cfg: ChainConfig,
-    replication: int,
-    chain: int,
-    tuning: hyperc.MhTuning = hyperc.MhTuning(),
-) -> ChainOutput:
-    """run_chain with the seed derived as (master seed, replication, chain)."""
-    seq = chain_seed(cfg.seed, replication, chain)
-    derived = int(seq.generate_state(1, dtype=np.uint64)[0])
-    return run_chain(
-        d,
-        prior,
-        ChainConfig(
-            n_iter=cfg.n_iter,
-            n_burn=cfg.n_burn,
-            thin=cfg.thin,
-            seed=derived,
-            record_beta=cfg.record_beta,
-            init=cfg.init,
-            kernel=cfg.kernel,
-        ),
-        tuning,
-    )
+def chain_seed(master_seed: int, replication: int = 0, chain: int = 0) -> int:
+    """Fixed derivation of a per-chain seed from a master seed. Chain index
+    2**31 is reserved for a replication's data-generation stream."""
+    seq = np.random.SeedSequence([int(master_seed), int(replication), int(chain)])
+    return int(seq.generate_state(1, dtype=np.uint64)[0])

@@ -20,7 +20,6 @@ class MhTuning:
     """Random-walk proposal scale for the log-c Metropolis step."""
 
     sigma_kappa: float = 0.5
-    track_acceptance: bool = True
 
     def __post_init__(self):
         if self.sigma_kappa <= 0:

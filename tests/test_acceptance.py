@@ -38,19 +38,15 @@ def verdict(num, name, passed, detail):
     assert passed, line
 
 
-def derived_seed(master, rep, chain):
-    return int(chain_seed(master, rep, chain).generate_state(1, dtype=np.uint64)[0])
-
-
 def replicate_example1(n, p, s, prior, n_reps, n_iter, n_burn, master_seed,
                        record_beta=False, alpha=0.05):
     records = []
     for rep in range(n_reps):
         spec = Example1Spec(n=n, p=p, s_n=s, rho=0.0, sigma_sq=1.0,
-                            seed=derived_seed(master_seed, rep, 2**31))
+                            seed=chain_seed(master_seed, rep, 2**31))
         dataset, truth = gen_example1(spec)
         cfg = ChainConfig(n_iter=n_iter, n_burn=n_burn,
-                          seed=derived_seed(master_seed, rep, 0),
+                          seed=chain_seed(master_seed, rep, 0),
                           record_beta=record_beta)
         out = run_chain(dataset, prior, cfg)
         records.append(summarize_run(out, truth, dataset, alpha=alpha))
@@ -118,10 +114,10 @@ def test_criterion_05_model_size_and_estimation_error():
     records = []
     for rep in range(10):
         spec = Example2Spec(setting="I", n=n, p=p, s_n=s, sigma=1.5, a=a,
-                            seed=derived_seed(501, rep, 2**31))
+                            seed=chain_seed(501, rep, 2**31))
         dataset, truth = gen_example2(spec)
         cfg = ChainConfig(n_iter=4_000, n_burn=2_000,
-                          seed=derived_seed(501, rep, 0), record_beta=True)
+                          seed=chain_seed(501, rep, 0), record_beta=True)
         out = run_chain(dataset, prior, cfg)
         records.append(summarize_run(out, truth, dataset))
     summary = aggregate_records(records)

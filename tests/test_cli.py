@@ -74,6 +74,18 @@ class TestFit:
             assert filecmp.cmp(tmp_path / "f1" / name, tmp_path / "f2" / name,
                                shallow=False), name
 
+    def test_too_short_chain_rejected_before_running(self, tmp_path):
+        run(["simulate", "--example", "1", "--n", "20", "--p", "5", "--s", "2",
+             "--seed", "7", "--out", str(tmp_path)])
+        argv = ["fit", "--data", str(tmp_path / "dataset.csv"), "--burn", "10",
+                "--chains", "2"]
+        # ceil((15 - 10) / 1) = 5 draws per chain: rejected, nothing written
+        assert run(argv + ["--iters", "15", "--out", str(tmp_path / "short")]) == 2
+        assert not (tmp_path / "short").exists()
+        # ceil((29 - 10) / 2) = 10 draws per chain: enough
+        assert run(argv + ["--iters", "29", "--thin", "2", "--out", str(tmp_path / "ok")]) == 0
+        assert (tmp_path / "ok" / "diagnostics.csv").exists()
+
     def test_fixed_prior_requires_c(self, tmp_path):
         run(["simulate", "--example", "1", "--n", "20", "--p", "5", "--s", "2",
              "--seed", "7", "--out", str(tmp_path)])
@@ -126,6 +138,11 @@ class TestConfigFile:
         cfg.write_text("no_such_option = 1\n")
         code = run(["fit", "--data", "x.csv", "--config", str(cfg)])
         assert code == 2
+
+    def test_trailing_config_without_path(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--data", "d.csv", "--config"])
+        assert exc.value.code == 2
 
 
 class TestDiagnoseAndRiesz:

@@ -97,6 +97,9 @@ class TestEnumeration:
         s1 = direct_score(g1, 30.0, d, prior.nu)
         s2 = direct_score(g2, 30.0, d, prior.nu)
         assert math.log(post.prob(g1) / post.prob(g2)) == pytest.approx(s1 - s2, abs=1e-9)
+        assert post.log_scores.keys() == post.entries.keys()
+        for g, v in post.log_scores.items():
+            assert v == log_unnorm_posterior(g, 30.0, d, prior, 3).value
 
     def test_enumeration_guard(self):
         d, _ = make_dataset(n=20, p=60, s=2)
@@ -160,6 +163,16 @@ class TestGPriorMarginal:
         v128 = log_unnorm_posterior_g(gamma, d, prior, t_n=4, n_nodes=128).value
         v512 = log_unnorm_posterior_g(gamma, d, prior, t_n=4, n_nodes=512).value
         assert v128 == pytest.approx(v512, abs=1e-8)
+
+    def test_n_nodes_honoured(self):
+        d, _ = make_dataset(n=30, p=5, s=2, seed=5)
+        prior = PriorConfig(nu=6.0, m_n=5, c_prior=GHG(d=1.0, b=1.0))
+        gamma = ModelIndicator((0, 1), p=5)
+        v8 = log_unnorm_posterior_g(gamma, d, prior, t_n=5, n_nodes=8).value
+        v128 = log_unnorm_posterior_g(gamma, d, prior, t_n=5, n_nodes=128).value
+        assert v8 != v128
+        with pytest.raises(ValidationError, match="n_nodes"):
+            log_unnorm_posterior_g(gamma, d, prior, t_n=5, n_nodes=0)
 
     def test_improper_priors_rejected(self):
         d, _ = make_dataset(n=20, p=3, s=1)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bayes_screen.data import (
     GZS,
+    Dataset,
     FixedC,
     ModelIndicator,
     Precomputed,
@@ -15,18 +18,18 @@ from bayes_screen.data import (
 from bayes_screen.exact import enumerate_posterior_with_tn_prior
 from bayes_screen.gibbs import (
     ChainConfig,
-    block_update,
+    ChainOutput,
     chain_seed,
     default_initial_state,
+    get_sweep_kernel,
     gibbs_sweep,
     initial_c,
     merge_chains,
     run_chain,
-    run_chain_derived,
     update_sigma_sq,
     update_t_n,
 )
-from bayes_screen.kernel import HAS_COMPILED, get_sweep_kernel
+from bayes_screen.kernel import sweep_blocks
 
 from conftest import empirical_models, fixed_prior, make_dataset, tv_distance
 
@@ -54,18 +57,25 @@ class TestConfig:
         s.check_invariants(d, m_n=5)
 
 
+def sweep(state, d, pre, rngen):
+    """One sweep_blocks call on ``state`` with fresh variates from ``rngen``."""
+    return sweep_blocks(d.x, pre.col_sq_norms, state.beta, state.gamma_mask, state.residual,
+                        state.sigma_sq, state.c, state.t_n, rngen.random(d.p),
+                        rngen.standard_normal(d.p))
+
+
 class TestBlockUpdate:
     def test_forced_exclusion_when_cap_saturated(self):
         d, _ = make_dataset(n=20, p=3, s=1, seed=1)
         pre = Precomputed.from_dataset(d)
-        prior = fixed_prior(20.0, m_n=2)
         beta = np.array([1.0, 2.0, 0.0])
         mask = np.array([1, 1, 0], dtype=np.uint8)
         state = SamplerState(beta=beta, gamma_mask=mask, sigma_sq=1.0, t_n=1,
                              c=20.0, residual=d.y - d.x @ beta)
         # coordinate 0: the other active coordinate already fills t_n = 1
-        block_update(state, 0, pre, prior, np.random.default_rng(0), d.x)
+        k = sweep(state, d, pre, np.random.default_rng(0))
         assert state.gamma_mask[0] == 0 and state.beta[0] == 0.0
+        assert k == state.n_active
         state.check_invariants(d, m_n=2)
 
     def test_strong_signal_always_included(self):
@@ -76,7 +86,7 @@ class TestBlockUpdate:
         state = default_initial_state(d, prior, rngen)
         state.t_n = 2
         for _ in range(50):
-            block_update(state, 0, pre, prior, rngen, d.x)
+            sweep(state, d, pre, rngen)
         assert state.gamma_mask[0] == 1
 
     def test_huge_c_shrinks_inclusion(self):
@@ -84,7 +94,6 @@ class TestBlockUpdate:
         rngen = np.random.default_rng(4)
         x = rngen.standard_normal((50, 1))
         y = rngen.standard_normal(50)
-        from bayes_screen.data import Dataset
         d = Dataset.from_arrays(y, x)
         pre = Precomputed.from_dataset(d)
         prior = fixed_prior(1e12, m_n=1)
@@ -92,9 +101,35 @@ class TestBlockUpdate:
         state.t_n = 1
         included = 0
         for _ in range(500):
-            block_update(state, 0, pre, prior, rngen, d.x)
+            sweep(state, d, pre, rngen)
             included += int(state.gamma_mask[0])
         assert included < 25
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 20),
+        p=st.integers(2, 12),
+        log10_c=st.floats(-8.0, 12.0),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_sweep_keeps_size_cap_and_invariants(self, n, p, log10_c, seed, data):
+        # start saturated (|gamma| = t_n) with column dup a copy of column 0
+        rngen = np.random.default_rng(seed)
+        x = rngen.standard_normal((n, p))
+        x[:, data.draw(st.integers(1, p - 1), label="dup")] = x[:, 0]
+        d = Dataset.from_arrays(rngen.standard_normal(n), x)
+        t_n = data.draw(st.integers(1, p), label="t_n")
+        active = rngen.choice(p, size=t_n, replace=False)
+        beta = np.zeros(p)
+        beta[active] = rngen.standard_normal(t_n)
+        mask = (beta != 0.0).astype(np.uint8)
+        state = SamplerState(beta=beta, gamma_mask=mask, sigma_sq=float(rngen.uniform(0.1, 10.0)),
+                             t_n=t_n, c=10.0**log10_c, residual=d.y - d.x @ beta)
+        k = sweep(state, d, Precomputed.from_dataset(d), rngen)
+        assert k == np.count_nonzero(state.gamma_mask)
+        assert k <= t_n
+        state.check_invariants(d, m_n=p)
 
 
 class TestSweepKernels:
@@ -106,43 +141,16 @@ class TestSweepKernels:
 
     def test_same_kernel_deterministic(self):
         d, pre, prior = self._setup()
-        for impl in (["python", "cython"] if HAS_COMPILED else ["python"]):
-            kernel = get_sweep_kernel(impl)
-            results = []
-            for _ in range(2):
-                rngen = np.random.default_rng(99)
-                state = default_initial_state(d, prior, rngen)
-                for _ in range(200):
-                    gibbs_sweep(state, d, pre, prior, rngen, kernel)
-                results.append((state.beta.copy(), state.sigma_sq, state.t_n))
-            np.testing.assert_array_equal(results[0][0], results[1][0])
-            assert results[0][1] == results[1][1]
-            assert results[0][2] == results[1][2]
-
-    def test_kernels_consume_stream_identically(self):
-        # one sweep from the same state with the same variates: both kernels
-        # visit the same model and leave near-identical numerical state
-        if not HAS_COMPILED:
-            pytest.skip("compiled kernel not built")
-        d, pre, prior = self._setup(seed=5)
-        results = {}
-        for impl in ("python", "cython"):
-            kernel = get_sweep_kernel(impl)
-            rngen = np.random.default_rng(7)
+        results = []
+        for _ in range(2):
+            rngen = np.random.default_rng(99)
             state = default_initial_state(d, prior, rngen)
-            state.t_n = 4
-            uniforms = np.random.default_rng(21).random(d.p)
-            normals = np.random.default_rng(22).standard_normal(d.p)
-            kernel(d.x, pre.col_sq_norms, state.beta, state.gamma_mask,
-                   state.residual, state.sigma_sq, state.c, state.t_n,
-                   uniforms, normals)
-            results[impl] = state
-        np.testing.assert_array_equal(results["python"].gamma_mask,
-                                      results["cython"].gamma_mask)
-        np.testing.assert_allclose(results["python"].beta, results["cython"].beta,
-                                   rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(results["python"].residual,
-                                   results["cython"].residual, rtol=1e-10, atol=1e-12)
+            for _ in range(200):
+                gibbs_sweep(state, d, pre, prior, rngen)
+            results.append((state.beta.copy(), state.sigma_sq, state.t_n))
+        np.testing.assert_array_equal(results[0][0], results[1][0])
+        assert results[0][1] == results[1][1]
+        assert results[0][2] == results[1][2]
 
     def test_residual_cache_stays_consistent(self):
         d, pre, prior = self._setup(seed=6)
@@ -152,12 +160,10 @@ class TestSweepKernels:
             gibbs_sweep(state, d, pre, prior, rngen)
         state.check_invariants(d, m_n=prior.m_n)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("BAYES_SCREEN_KERNEL", "python")
-        from bayes_screen.kernel import active_kernel_name
-        assert active_kernel_name() == "python"
-        from bayes_screen._sweep_py import sweep_blocks
+    def test_get_sweep_kernel_has_one_kernel(self):
         assert get_sweep_kernel() is sweep_blocks
+        with pytest.raises(ValueError):
+            get_sweep_kernel("python")
 
 
 class TestScalarUpdates:
@@ -242,8 +248,7 @@ class TestRunChain:
     def test_python_kernel_matches_enumeration(self):
         d, _ = make_dataset(n=20, p=4, s=1, seed=16)
         prior = fixed_prior(20.0, m_n=4)
-        out = run_chain(d, prior, ChainConfig(n_iter=60000, n_burn=5000, seed=4,
-                                              kernel="python"))
+        out = run_chain(d, prior, ChainConfig(n_iter=60000, n_burn=5000, seed=4))
         ref = enumerate_posterior_with_tn_prior(d, prior, 20.0)
         assert tv_distance(empirical_models(out), ref) < 0.02
 
@@ -259,17 +264,26 @@ class TestRunChain:
         with pytest.raises(ValidationError):
             merge_chains([])
 
+    def test_merge_chains_weights_mh_rate_by_draws(self):
+        def chain(rate, n_kept):
+            return ChainOutput(model_counts={}, sigma_sq_draws=np.ones(n_kept),
+                               c_draws=np.ones(n_kept), t_n_draws=np.ones(n_kept, dtype=np.int64),
+                               beta_draws=None, mh_accept_rate=rate, c_update_skips=0,
+                               seed=0, p=3, n_kept=n_kept)
+
+        merged = merge_chains([chain(1.0, 10), chain(0.0, 1000)])
+        assert merged.mh_accept_rate == pytest.approx(10 / 1010)
+        assert merge_chains([chain(None, 10), chain(None, 20)]).mh_accept_rate is None
+
     def test_derived_seeds_distinct_and_stable(self):
-        s1 = chain_seed(9, 0, 0).generate_state(1)[0]
-        s2 = chain_seed(9, 0, 1).generate_state(1)[0]
-        s3 = chain_seed(9, 1, 0).generate_state(1)[0]
-        assert len({int(s1), int(s2), int(s3)}) == 3
-        assert chain_seed(9, 0, 0).generate_state(1)[0] == s1
+        s1, s2, s3 = chain_seed(9, 0, 0), chain_seed(9, 0, 1), chain_seed(9, 1, 0)
+        assert len({s1, s2, s3}) == 3
+        # the derivation is part of the output format: seeded runs must not move
+        assert s1 == 18364911077201671484
         d, _ = make_dataset(n=20, p=3, s=1, seed=18)
         prior = fixed_prior(20.0, m_n=3)
-        cfg = ChainConfig(n_iter=200, n_burn=50, seed=9)
-        a = run_chain_derived(d, prior, cfg, replication=0, chain=0)
-        b = run_chain_derived(d, prior, cfg, replication=0, chain=1)
+        a = run_chain(d, prior, ChainConfig(n_iter=200, n_burn=50, seed=s1))
+        b = run_chain(d, prior, ChainConfig(n_iter=200, n_burn=50, seed=s2))
         assert not np.array_equal(a.sigma_sq_draws, b.sigma_sq_draws)
 
     def test_validation_failures_raised(self):
