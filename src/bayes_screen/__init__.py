@@ -36,7 +36,6 @@ from .inference import (
     credible_intervals,
     f_eta,
     fcr,
-    summarize_replications,
     summarize_run,
 )
 from .simgen import Example1Spec, Example2Spec, gen_example1, gen_example2

@@ -39,8 +39,12 @@ EXIT_PARTIAL = 4
 
 def load_config_file(path) -> dict:
     """Flat key=value file; keys are long option names (dashes or underscores)."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read config file {path}: {exc}") from exc
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -372,7 +376,8 @@ def cmd_check_riesz(args) -> int:
 
 # --- parser ----------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argument parser and its subcommand parsers, by name."""
     parser = argparse.ArgumentParser(prog="bayes-screen", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -421,20 +426,27 @@ def build_parser() -> argparse.ArgumentParser:
         action.add_argument("--seed", type=int, default=0)
         action.add_argument("--out", default=".")
         action.add_argument("--config", default=None)
-    return parser
+    return parser, sub.choices
+
+
+def preparse_config(argv) -> tuple:
+    """(subcommand, --config path or None), read ahead of the main parse so
+    that file values can become the subcommand's defaults. A --config
+    without a path is an argparse error (exit 2)."""
+    pre = argparse.ArgumentParser(prog="bayes-screen", add_help=False, allow_abbrev=False)
+    pre.add_argument("command", nargs="?")
+    pre.add_argument("--config", default=None)
+    known, _ = pre.parse_known_args(argv)
+    return known.command, known.config
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
-        # peek at --config so file values become subparser defaults; a
-        # trailing --config has no path, which argparse reports (exit 2)
-        if "--config" in argv[:-1]:
-            values = load_config_file(argv[argv.index("--config") + 1])
-            if argv and argv[0] in parser._subparsers._group_actions[0].choices:
-                subparser = parser._subparsers._group_actions[0].choices[argv[0]]
-                apply_config_defaults(subparser, values)
+        command, config = preparse_config(argv)
+        if config is not None and command in commands:
+            apply_config_defaults(commands[command], load_config_file(config))
         args = parser.parse_args(argv)
         return args.func(args)
     except ValidationError as exc:

@@ -28,15 +28,10 @@ def gelman_rubin(chains) -> float:
     w = float(np.mean(np.var(x, axis=1, ddof=1)))
     b = length * float(np.var(np.mean(x, axis=1), ddof=1))
     if w == 0.0:
-        return math_inf_or_one(b)
+        # identical constants are converged; separated constants are flagged
+        return 1.0 if b == 0.0 else float("inf")
     var_plus = (length - 1) / length * w + b / length
     return float(np.sqrt(var_plus / w))
-
-
-def math_inf_or_one(b: float) -> float:
-    # zero within-chain variance: identical constants are converged,
-    # separated constants are flagged as +inf
-    return 1.0 if b == 0.0 else float("inf")
 
 
 def _autocorr(x: np.ndarray) -> np.ndarray:

@@ -184,31 +184,6 @@ def summarize_run(
     )
 
 
-def summarize_replications(
-    runs,
-    truth: GroundTruth,
-    datasets=None,
-    alpha: float = 0.05,
-    etas=(0.5, 0.9),
-) -> ReplicationSummary:
-    """Aggregate per-replication records into the experiment metrics.
-
-    Interval lengths are pooled across replications before averaging.
-    Aggregates are order-independent.
-    """
-    runs = list(runs)
-    if not runs:
-        raise ValidationError("no runs to summarize")
-    if datasets is None:
-        datasets = [None] * len(runs)
-    if any(out.p != runs[0].p for out in runs):
-        raise ValidationError("inconsistent p across runs")
-    records = tuple(
-        summarize_run(out, truth, ds, alpha) for out, ds in zip(runs, datasets)
-    )
-    return aggregate_records(records, etas)
-
-
 def aggregate_records(records, etas=(0.5, 0.9)) -> ReplicationSummary:
     """Order-independent aggregation of per-replication records."""
     records = tuple(records)

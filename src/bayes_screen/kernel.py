@@ -4,6 +4,15 @@ the constrained Gibbs sampler, applied to j = 0..p-1 in turn.
 The kernel consumes the pre-drawn variate arrays positionally (uniforms[j]
 and normals[j] belong to coordinate j), so a chain's random stream does not
 depend on the path it takes.
+
+The update rule is written once, in ``_update_range``. At small p it runs
+over every coordinate. At larger p the sweep is screened: most coordinates
+are excluded and stay excluded, and for those the rule is a no-op (beta_j
+stays 0 and the residual is untouched). One gemv per chunk of columns
+scores every excluded coordinate, and a coordinate is skipped only when
+the scores prove that the scalar rule would reject it, with a margin that
+bounds the rounding of both the gemv and the rule's own dot product. So
+the screened sweep returns the same state as the full scan, bit for bit.
 """
 
 from __future__ import annotations
@@ -12,15 +21,28 @@ import math
 
 import numpy as np
 
+# Below this many columns the sweep runs the rule over every coordinate: the
+# gemv and the per-chunk vector operations cost more than they save there.
+SCREEN_MIN_P = 32
+# A chunk starts at CHUNK_MIN columns after each event and doubles on every
+# clean chunk, up to CHUNK_MAX.
+CHUNK_MIN = 32
+CHUNK_MAX = 512
+# Slack in log-odds units, relative to the size of the terms, that absorbs
+# the rounding of log/exp and of the few products in the rule and the screen.
+LOG_SLACK = 1e-9
+# Relative slack on p0: the screen proves U_j < p0 * (1 - P0_SLACK), so a
+# computed p0 that is a few ulps low still exceeds U_j.
+P0_SLACK = 1e-12
 
-def sweep_blocks(x, col_sq, beta, gamma_mask, residual, sigma_sq, c, t_n, uniforms, normals) -> int:
-    """Update every block j = 0..p-1 in place; returns the new model size."""
-    p = x.shape[1]
-    k = int(np.count_nonzero(gamma_mask))
+
+def _update_range(x, col_sq, beta, gamma_mask, residual, sigma_sq, c, t_n, uniforms, normals, j0, j1, k) -> int:
+    """Apply the block update to j = j0..j1-1 in place, starting from model
+    size ``k``; returns the new model size."""
     inv_c = 1.0 / c
     half_log_c = 0.5 * math.log(c)
 
-    for j in range(p):
+    for j in range(j0, j1):
         col = x[:, j]
         if k - (1 if gamma_mask[j] else 0) == t_n:
             if gamma_mask[j]:
@@ -58,6 +80,91 @@ def sweep_blocks(x, col_sq, beta, gamma_mask, residual, sigma_sq, c, t_n, unifor
             residual -= col * diff
             beta[j] = b_new
 
+    return k
+
+
+def sweep_scalar(x, col_sq, beta, gamma_mask, residual, sigma_sq, c, t_n, uniforms, normals) -> int:
+    """The unscreened sweep: the rule at every j = 0..p-1; returns the new
+    model size. ``sweep_blocks`` gives the same result."""
+    return _update_range(x, col_sq, beta, gamma_mask, residual, sigma_sq, c, t_n, uniforms, normals,
+                         0, x.shape[1], int(np.count_nonzero(gamma_mask)))
+
+
+def _reject_thresholds(col_sq, sigma_sq, c, uniforms):
+    """q_j such that u_j^2 < q_j, for the rule's own u_j, proves that the
+    rule rejects an excluded coordinate j.
+
+    The rule rejects when U_j < p0 = 1 / (1 + exp(log_theta)), that is when
+    log_theta < log((1 - U_j) / U_j), where log_theta is
+    -log(c)/2 - log(v2_j)/2 + u_j^2 / (2 sigma^2 v2_j). U_j is raised by
+    P0_SLACK and the bound lowered by LOG_SLACK; a q_j that is not finite
+    (U_j = 0, overflow) is -inf, so that coordinate is always run by the rule.
+    """
+    v2 = col_sq + 1.0 / c
+    half_log_c = 0.5 * math.log(c)
+    half_log_v2 = 0.5 * np.log(v2)
+    with np.errstate(all="ignore"):
+        w = uniforms * (1.0 + P0_SLACK)
+        log_odds = np.log((1.0 - w) / w)
+        slack = LOG_SLACK * (1.0 + abs(half_log_c) + np.abs(half_log_v2) + np.abs(log_odds))
+        q = (log_odds + half_log_c + half_log_v2 - slack) * (2.0 * sigma_sq * v2)
+    q[~np.isfinite(q)] = -np.inf
+    return q
+
+
+def sweep_blocks(x, col_sq, beta, gamma_mask, residual, sigma_sq, c, t_n, uniforms, normals) -> int:
+    """Update every block j = 0..p-1 in place; returns the new model size.
+
+    Screened when p >= SCREEN_MIN_P. An event is a coordinate that is
+    active, or excluded but not provably rejected; the rule runs at each
+    event, and the scan resumes after it. While |gamma| == t_n every
+    excluded coordinate is forced out, so the scan jumps to the next
+    active one.
+    """
+    n, p = x.shape
+    if p < SCREEN_MIN_P:
+        return sweep_scalar(x, col_sq, beta, gamma_mask, residual, sigma_sq, c, t_n, uniforms, normals)
+
+    k = int(np.count_nonzero(gamma_mask))
+    q = _reject_thresholds(col_sq, sigma_sq, c, uniforms)
+    # |fl(x_j'r) - x_j'r| <= g_n |x_j| |r| for any summation order, with
+    # g_n = n eps / (1 - n eps), for the gemv and for the rule's dot product
+    # alike; twice that bounds their difference, and twice again covers the
+    # rounding of the norms. The absolute term covers underflow.
+    eps = 2.0**-53
+    err = 4.0 * n * eps / (1.0 - n * eps) * np.sqrt(col_sq)
+    tiny = 4.0 * n * 2.0**-1074
+    # coordinates where beta_j != 0 run the rule too, though gamma_j = 0
+    active = np.flatnonzero((gamma_mask != 0) | (beta != 0.0))
+    a = 0  # active[a] is the next active coordinate at or after j
+    r_norm = math.sqrt(float(residual @ residual))
+
+    j = 0
+    chunk = CHUNK_MIN
+    while j < p:
+        nxt = int(active[a]) if a < len(active) else p
+        event = nxt
+        if k != t_n and j < nxt:
+            end = min(j + chunk, nxt)
+            u = x[:, j:end].T @ residual
+            bound = np.abs(u) + (err[j:end] * r_norm + tiny)
+            open_ = np.flatnonzero(~(bound * bound < q[j:end]))
+            if open_.size == 0:
+                j = end
+                chunk = min(2 * chunk, CHUNK_MAX)
+                continue
+            event = j + int(open_[0])
+        if event >= p:
+            break
+        if event == nxt:
+            a += 1
+        b_old = beta[event]
+        k = _update_range(x, col_sq, beta, gamma_mask, residual, sigma_sq, c, t_n, uniforms, normals,
+                          event, event + 1, k)
+        if beta[event] != b_old:
+            r_norm = math.sqrt(float(residual @ residual))
+        j = event + 1
+        chunk = CHUNK_MIN
     return k
 
 

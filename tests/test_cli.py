@@ -139,6 +139,22 @@ class TestConfigFile:
         code = run(["fit", "--data", "x.csv", "--config", str(cfg)])
         assert code == 2
 
+    def test_config_equals_form(self, tmp_path):
+        run(["simulate", "--example", "1", "--n", "30", "--p", "6", "--s", "2",
+             "--seed", "8", "--out", str(tmp_path)])
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("iters = 400\nburn = 100\nprior = fixed\nc-preset = bic\n")
+        out = tmp_path / "eq"
+        assert run(["fit", "--data", str(tmp_path / "dataset.csv"), f"--config={cfg}",
+                    "--seed", "1", "--out", str(out)]) == 0
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["config"]["iters"] == 400
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        code = run(["fit", "--data", "d.csv", "--config", str(tmp_path / "missing.cfg")])
+        assert code == 2
+        assert "missing.cfg" in capsys.readouterr().err
+
     def test_trailing_config_without_path(self):
         with pytest.raises(SystemExit) as exc:
             run(["fit", "--data", "d.csv", "--config"])

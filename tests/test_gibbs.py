@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bayes_screen import gibbs
 from bayes_screen.data import (
+    GHG,
     GZS,
     Dataset,
     FixedC,
@@ -29,7 +31,8 @@ from bayes_screen.gibbs import (
     update_sigma_sq,
     update_t_n,
 )
-from bayes_screen.kernel import sweep_blocks
+from bayes_screen.kernel import SCREEN_MIN_P, sweep_blocks, sweep_scalar
+from bayes_screen.simgen import Example1Spec, gen_example1
 
 from conftest import empirical_models, fixed_prior, make_dataset, tv_distance
 
@@ -164,6 +167,119 @@ class TestSweepKernels:
         assert get_sweep_kernel() is sweep_blocks
         with pytest.raises(ValueError):
             get_sweep_kernel("python")
+
+
+def ar_design(rngen, n, p, rho):
+    """AR(1) columns with correlation rho, Fortran order like a Dataset."""
+    z = rngen.standard_normal((n, p))
+    x = np.empty((n, p), order="F")
+    x[:, 0] = z[:, 0]
+    for j in range(1, p):
+        x[:, j] = rho * x[:, j - 1] + math.sqrt(1.0 - rho * rho) * z[:, j]
+    return x
+
+
+class TestScreenedSweep:
+    """sweep_blocks screens excluded coordinates at p >= SCREEN_MIN_P; it must
+    leave exactly the state that the rule run at every coordinate leaves."""
+
+    @staticmethod
+    def _both(x, beta, mask, residual, sigma_sq, c, t_n, uniforms, normals):
+        col_sq = np.einsum("ij,ij->j", x, x)
+        states, ks = [], []
+        for kern in (sweep_blocks, sweep_scalar):
+            b, m, r = beta.copy(), mask.copy(), residual.copy()
+            try:
+                ks.append(kern(x, col_sq, b, m, r, sigma_sq, c, t_n, uniforms, normals))
+            except FloatingPointError as exc:
+                ks.append(str(exc))
+            states.append((b, m, r))
+        return states, ks
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        extra_p=st.integers(0, 100),
+        rho=st.floats(0.0, 0.99),
+        log10_c=st.floats(-8.0, 12.0),
+        start=st.sampled_from(["free", "saturated", "over"]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_same_state_as_full_scan(self, n, extra_p, rho, log10_c, start, seed, data):
+        p = SCREEN_MIN_P + extra_p
+        rngen = np.random.default_rng(seed)
+        x = ar_design(rngen, n, p, rho)
+        x[:, data.draw(st.integers(1, p - 1), label="dup")] = x[:, 0]
+        y = x[:, :3] @ rngen.normal(0.0, 2.0, 3) + rngen.standard_normal(n)
+        k0 = data.draw(st.integers(0, min(p, 12)), label="k0")
+        t_n = {"free": k0 + data.draw(st.integers(1, 5), label="room"),
+               "saturated": max(k0, 1), "over": max(k0 - 1, 1)}[start]
+        beta = np.zeros(p)
+        beta[rngen.choice(p, size=k0, replace=False)] = rngen.standard_normal(k0)
+        mask = (beta != 0.0).astype(np.uint8)
+        residual = y - x @ beta
+        c = 10.0**log10_c
+        for _ in range(3):
+            sigma_sq = float(rngen.uniform(0.1, 10.0))
+            states, ks = self._both(x, beta, mask, residual, sigma_sq, c, t_n,
+                                    rngen.random(p), rngen.standard_normal(p))
+            assert ks[0] == ks[1]
+            for a, b in zip(*states):
+                assert a.tobytes() == b.tobytes()
+            beta, mask, residual = states[1]
+
+    def test_uniform_at_exclusion_probability_is_included(self):
+        # U_j equal to the rule's own p0_j (computed as the rule computes it)
+        # includes j: the screen's margin must not prove a rejection there
+        rngen = np.random.default_rng(3)
+        n, p, sigma_sq, c = 25, SCREEN_MIN_P + 8, 0.7, 40.0
+        x = ar_design(rngen, n, p, 0.3)
+        residual = x[:, :2] @ np.array([0.4, -0.3]) + rngen.standard_normal(n)
+        col_sq = np.einsum("ij,ij->j", x, x)
+        u = np.array([float(residual @ x[:, j]) for j in range(p)])
+        v2 = col_sq + 1.0 / c
+        log_odds = [-0.5 * math.log(c) - 0.5 * math.log(v2[j]) + u[j] * u[j] / (2.0 * sigma_sq * v2[j])
+                    for j in range(p)]
+        p0 = np.array([math.exp(-t) / (1.0 + math.exp(-t)) if t >= 0.0 else 1.0 / (1.0 + math.exp(t))
+                       for t in log_odds])
+        for j in range(p):
+            uniforms = 0.5 * p0
+            uniforms[j] = p0[j]
+            states, ks = self._both(x, np.zeros(p), np.zeros(p, dtype=np.uint8), residual,
+                                    sigma_sq, c, 5, uniforms, rngen.standard_normal(p))
+            assert states[1][1][j] == 1
+            assert ks[0] == ks[1]
+            for a, b in zip(*states):
+                assert a.tobytes() == b.tobytes()
+
+    def test_nan_residual_raises_at_same_coordinate(self):
+        rngen = np.random.default_rng(5)
+        n, p = 30, SCREEN_MIN_P + 40
+        x = ar_design(rngen, n, p, 0.5)
+        beta = np.zeros(p)
+        beta[[7, 50]] = [1.0, -2.0]
+        mask = (beta != 0.0).astype(np.uint8)
+        residual = rngen.standard_normal(n)
+        residual[4] = np.nan
+        for t_n in (2, 5):  # saturated: excluded blocks are forced; free: all are scored
+            _, ks = self._both(x, beta, mask, residual, 1.0, 50.0, t_n,
+                               rngen.random(p), rngen.standard_normal(p))
+            assert ks[0] == ks[1]
+            assert ks[0].startswith("non-finite u at coordinate")
+
+    @pytest.mark.parametrize("c_prior", [GZS(b_n=3.0), GHG(d=3.0)])
+    def test_seeded_chain_same_as_full_scan(self, c_prior, monkeypatch):
+        d, _ = gen_example1(Example1Spec(n=100, p=300, s_n=4, seed=21))
+        prior = PriorConfig(m_n=50, c_prior=c_prior)
+        cfg = ChainConfig(n_iter=500, n_burn=100, seed=chain_seed(21), record_beta=True)
+        screened = run_chain(d, prior, cfg)
+        monkeypatch.setattr(gibbs, "get_sweep_kernel", lambda impl=None: sweep_scalar)
+        full = run_chain(d, prior, cfg)
+        assert screened.model_counts == full.model_counts
+        for name in ("sigma_sq_draws", "c_draws", "t_n_draws", "beta_draws"):
+            assert getattr(screened, name).tobytes() == getattr(full, name).tobytes()
+        assert (screened.mh_accept_rate, screened.c_update_skips) == (full.mh_accept_rate, full.c_update_skips)
 
 
 class TestScalarUpdates:

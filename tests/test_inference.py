@@ -13,7 +13,6 @@ from bayes_screen.inference import (
     fcr,
     normal_quantile,
     RunRecord,
-    summarize_replications,
     summarize_run,
 )
 
@@ -196,14 +195,7 @@ class TestSummaries:
         truth = derive_ground_truth(beta0, 1.0)
         outs = [fake_output(5, {truth.gamma0: 100}, beta_rows=[beta0] * 10)
                 for _ in range(3)]
-        summary = summarize_replications(outs, truth, datasets=[d] * 3)
+        summary = aggregate_records(summarize_run(out, truth, d) for out in outs)
         assert summary.f_values[0.5] == 1.0 and summary.f_values[0.9] == 1.0
         assert summary.mssm == 2.0
         assert summary.me == 0.0
-
-    def test_inconsistent_p_rejected(self):
-        d, beta0 = make_dataset(n=40, p=5, s=2, seed=7)
-        truth = derive_ground_truth(beta0, 1.0)
-        outs = [fake_output(5, {truth.gamma0: 10}), fake_output(6, {ModelIndicator((), p=6): 10})]
-        with pytest.raises(ValidationError, match="inconsistent p"):
-            summarize_replications(outs, truth)
