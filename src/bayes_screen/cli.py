@@ -353,7 +353,12 @@ def cmd_replicate(args) -> int:
 def cmd_diagnose(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    scalars = [np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2) for path in args.scalars]
+    scalars = []
+    for path in args.scalars:
+        try:
+            scalars.append(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2))
+        except OSError as exc:
+            raise ValidationError(f"cannot read scalars file {path}: {exc}") from exc
     rows = _chain_diagnostics([s[:, 1] for s in scalars], [s[:, 2] for s in scalars])
     _write_diagnostics(outdir / "diagnostics.csv", rows)
     for name, rhat, ess_min in rows:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class ModelIndicator:
 
     included: tuple
     p: int
-    _members: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = tuple(sorted(int(j) for j in self.included))
@@ -36,13 +35,12 @@ class ModelIndicator:
         if idx and (idx[0] < 0 or idx[-1] >= self.p):
             raise ValidationError(f"index out of range [0, {self.p})")
         object.__setattr__(self, "included", idx)
-        object.__setattr__(self, "_members", frozenset(idx))
 
     def __len__(self):
         return len(self.included)
 
     def __contains__(self, j):
-        return j in self._members
+        return j in self.included
 
     def __iter__(self):
         return iter(self.included)

@@ -12,12 +12,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, stats
+from scipy import stats
 from scipy.special import logsumexp
 
 from .data import GHG, GZS, Dataset, ModelIndicator, Precomputed, PriorConfig, ValidationError
 
 ENUMERATION_GUARD = 10**6
+CHUNK_BYTES = 2**20  # model columns per stacked call; bounds each chunk's working set
 
 
 class SingularModelError(ValueError):
@@ -46,35 +47,68 @@ class EnumeratedPosterior:
 
 
 def _chol_factor(u: np.ndarray):
-    """Cholesky with a single jitter retry; u is positive definite in exact
-    arithmetic, so failures are numerical only."""
+    """Cholesky of one matrix with a single jitter retry; u is positive
+    definite in exact arithmetic, so failures are numerical only."""
     try:
-        return linalg.cholesky(u, lower=True)
-    except linalg.LinAlgError:
+        return np.linalg.cholesky(u)
+    except np.linalg.LinAlgError:
         k = u.shape[0]
         jitter = 1e-10 * np.trace(u) / k
         try:
-            return linalg.cholesky(u + jitter * np.eye(k), lower=True)
-        except linalg.LinAlgError as exc:
+            return np.linalg.cholesky(u + jitter * np.eye(k))
+        except np.linalg.LinAlgError as exc:
             raise SingularModelError("singular model") from exc
 
 
-def _score_given_c(gamma: ModelIndicator, c: float, d: Dataset, pre: Precomputed, nu: float) -> float:
-    """log[ det(W)^(-1/2) (1 + Y'(I - X U^-1 X')Y)^(-(n+nu)/2) ] with the
-    indifference model prior folded in as a constant 0."""
-    k = len(gamma)
-    if k == 0:
-        return -0.5 * (d.n + nu) * math.log1p(pre.yty)
-    idx = list(gamma.included)
-    xg = d.x[:, idx]
-    u = xg.T @ xg + (1.0 / c) * np.eye(k)
-    low = _chol_factor(u)
-    logdet_u = 2.0 * float(np.sum(np.log(np.diag(low))))
+def _chol_stack(u: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a stack of matrices. LAPACK factors each
+    matrix on its own, so when the stacked call fails, refactoring one at a
+    time gives every other matrix the same bits and sends only the failing
+    ones through ``_chol_factor``'s retry."""
+    try:
+        return np.linalg.cholesky(u)
+    except np.linalg.LinAlgError:
+        return np.stack([_chol_factor(ui) for ui in u])
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums of the rows of a 2-d array, added left to right, so that each
+    row's sum does not depend on the other rows."""
+    total = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total
+
+
+def _score_given_c(combos: np.ndarray, c: float, d: Dataset, pre: Precomputed, nu: float) -> np.ndarray:
+    """log[ det(W)^(-1/2) (1 + Y'(I - X U^-1 X')Y)^(-(n+nu)/2) ] of every
+    model whose column indices are a row of ``combos`` (shape (m, k), one
+    size k), with the indifference model prior folded in as a constant 0.
+
+    U = X_g'X_g + I/c and b = X_g'y come from stacked products of each
+    model's own columns; every step after them is per model or elementwise,
+    so a model's score has the same bits in any batch.
+    """
+    m, k = combos.shape
+    null = -0.5 * (d.n + nu) * math.log1p(pre.yty)
+    if k == 0 or m == 0:
+        return np.full(m, null)
+    xt = d.x.T[combos]  # (m, k, n): each model's X_g', one contiguous block
+    u = xt @ xt.transpose(0, 2, 1)
+    diag = np.arange(k)
+    u[:, diag, diag] += 1.0 / c
+    b = xt @ d.y
+    low = _chol_stack(u)
+    logdet_u = 2.0 * _row_sums(np.log(low[:, diag, diag]))
+    z = np.empty((m, k))  # forward substitution: L z = b
+    for i in range(k):
+        acc = b[:, i].copy()
+        for j in range(i):
+            acc -= low[:, i, j] * z[:, j]
+        z[:, i] = acc / low[:, i, i]
+    quad = pre.yty - _row_sums(z * z)
     logdet_w = k * math.log(c) + logdet_u
-    b = xg.T @ d.y
-    z = linalg.solve_triangular(low, b, lower=True)
-    quad = pre.yty - float(z @ z)
-    return -0.5 * logdet_w - 0.5 * (d.n + nu) * math.log1p(quad)
+    return -0.5 * logdet_w - 0.5 * (d.n + nu) * np.log1p(quad)
 
 
 def log_unnorm_posterior(
@@ -95,7 +129,8 @@ def log_unnorm_posterior(
         return None
     if pre is None:
         pre = Precomputed.from_dataset(d)
-    return LogScore(value=_score_given_c(gamma, c, d, pre, prior.nu), gamma=gamma)
+    combos = np.array(gamma.included, dtype=np.intp).reshape(1, len(gamma))
+    return LogScore(value=float(_score_given_c(combos, c, d, pre, prior.nu)[0]), gamma=gamma)
 
 
 def model_space_size(p: int, t_n: int) -> int:
@@ -108,17 +143,36 @@ def iter_models(p: int, t_n: int):
             yield ModelIndicator(combo, p=p)
 
 
-def enumerate_posterior(d: Dataset, prior: PriorConfig, c: float, t_n: int) -> EnumeratedPosterior:
-    """Full enumeration of the posterior over models with size <= t_n."""
+def _chunks(combos, k: int, n: int):
+    """Stack an iterable of size-k index tuples into (m, k) int arrays whose
+    model columns (m k n floats) fit in CHUNK_BYTES."""
+    m = max(1, CHUNK_BYTES // (8 * n * k))
+    combos = iter(combos)
+    while block := list(itertools.islice(combos, m)):
+        yield np.array(block, dtype=np.intp).reshape(len(block), k)
+
+
+def _enumerate_scores(d: Dataset, nu: float, c: float, t_n: int):
+    """(models, log scores) of every model of size <= t_n, in ``iter_models``
+    order, scored one size at a time in chunks."""
     if model_space_size(d.p, t_n) > ENUMERATION_GUARD:
         raise ValidationError("model space too large for enumeration")
     pre = Precomputed.from_dataset(d)
-    gammas = list(iter_models(d.p, t_n))
-    scores = [_score_given_c(g, c, d, pre, prior.nu) for g in gammas]
-    arr = np.array(scores)
-    probs = np.exp(arr - logsumexp(arr))
+    gammas = [ModelIndicator((), p=d.p)]
+    scores = [_score_given_c(np.empty((1, 0), dtype=np.intp), c, d, pre, nu)]
+    for k in range(1, t_n + 1):
+        for combos in _chunks(itertools.combinations(range(d.p), k), k, d.n):
+            scores.append(_score_given_c(combos, c, d, pre, nu))
+            gammas.extend(ModelIndicator(row, p=d.p) for row in combos.tolist())
+    return gammas, np.concatenate(scores)
+
+
+def enumerate_posterior(d: Dataset, prior: PriorConfig, c: float, t_n: int) -> EnumeratedPosterior:
+    """Full enumeration of the posterior over models with size <= t_n."""
+    gammas, scores = _enumerate_scores(d, prior.nu, c, t_n)
+    probs = np.exp(scores - logsumexp(scores))
     return EnumeratedPosterior(
-        entries=dict(zip(gammas, probs)), log_scores=dict(zip(gammas, scores)), t_n=t_n, c=c
+        entries=dict(zip(gammas, probs)), log_scores=dict(zip(gammas, scores.tolist())), t_n=t_n, c=c
     )
 
 
@@ -131,15 +185,9 @@ def enumerate_posterior_with_tn_prior(d: Dataset, prior: PriorConfig, c: float) 
     gamma-marginal of the sampler with Fixed(c).
     """
     m_n = prior.m_n
-    if model_space_size(d.p, m_n) > ENUMERATION_GUARD:
-        raise ValidationError("model space too large for enumeration")
-    pre = Precomputed.from_dataset(d)
-    gammas, scores = [], []
-    for g in iter_models(d.p, m_n):
-        n_tn = m_n - max(len(g), 1) + 1
-        gammas.append(g)
-        scores.append(_score_given_c(g, c, d, pre, prior.nu) + math.log(n_tn))
-    scores = np.array(scores)
+    gammas, scores = _enumerate_scores(d, prior.nu, c, m_n)
+    n_tn = np.array([m_n - max(len(g), 1) + 1 for g in gammas])
+    scores = scores + np.log(n_tn)
     probs = np.exp(scores - logsumexp(scores))
     return dict(zip(gammas, probs))
 
@@ -203,10 +251,21 @@ def log_unnorm_posterior_g(
     k_lo, k_hi = math.log(c_lo), math.log(c_hi)
     kappa = 0.5 * (k_hi - k_lo) * nodes + 0.5 * (k_hi + k_lo)
     c_vals = np.exp(kappa)
+    # One eigendecomposition X_g'X_g = V diag(lam) V' serves every node:
+    # log det U = sum log(lam + 1/c) and b'U^-1 b = sum a^2 / (lam + 1/c), a = V'X_g'y.
+    k = len(gamma)
+    lam, a = np.zeros(0), np.zeros(0)
+    if k:
+        xg = d.x[:, list(gamma.included)]
+        lam, vecs = np.linalg.eigh(xg.T @ xg)
+        lam = np.maximum(lam, 0.0)  # X_g'X_g is semi-definite; drop rounding below 0
+        a = vecs.T @ (xg.T @ d.y)
+    shifted = lam[:, None] + 1.0 / c_vals
+    logdet_w = k * np.log(c_vals) + np.log(shifted).sum(axis=0)
+    quad = pre.yty - (a[:, None] ** 2 / shifted).sum(axis=0)
+    scores = -0.5 * logdet_w - 0.5 * (d.n + prior.nu) * np.log1p(quad)
     # integrand in kappa: q(gamma | c, Z) g(c) c  (Jacobian dc = c dkappa)
-    logf = np.array(
-        [_score_given_c(gamma, c, d, pre, prior.nu) for c in c_vals]
-    ) + logpdf(c_vals) + kappa
+    logf = scores + logpdf(c_vals) + kappa
     value = logsumexp(logf, b=weights * 0.5 * (k_hi - k_lo))
     return LogScore(value=float(value), gamma=gamma)
 
@@ -250,31 +309,29 @@ def check_sparse_riesz(
     if r < 1:
         raise ValidationError("r must be >= 1")
     size_cap = min(2 * r, p)
-    lam_min, lam_max = np.inf, -np.inf
-    count = 0
-
-    def visit(idx):
-        nonlocal lam_min, lam_max, count
-        xg = x[:, list(idx)]
-        evals = np.linalg.eigvalsh(xg.T @ xg / n)
-        lam_min = min(lam_min, float(evals[0]))
-        lam_max = max(lam_max, float(evals[-1]))
-        count += 1
-
     if mode == "exact":
         total = sum(math.comb(p, k) for k in range(1, size_cap + 1))
         if total > budget:
             raise ValidationError(f"exact mode needs {total} models, budget is {budget}")
-        for k in range(1, size_cap + 1):
-            for combo in itertools.combinations(range(p), k):
-                visit(combo)
+        by_size = {k: itertools.combinations(range(p), k) for k in range(1, size_cap + 1)}
     elif mode == "sampled":
         rng = np.random.default_rng(seed)
+        by_size = {k: [] for k in range(1, size_cap + 1)}
         for _ in range(budget):
             k = int(rng.integers(1, size_cap + 1))
-            visit(rng.choice(p, size=k, replace=False))
+            by_size[k].append(rng.choice(p, size=k, replace=False))
     else:
         raise ValidationError("mode must be 'exact' or 'sampled'")
+
+    lam_min, lam_max = np.inf, -np.inf
+    count = 0
+    for k, combos in by_size.items():
+        for chunk in _chunks(combos, k, n):
+            xt = x.T[chunk]
+            evals = np.linalg.eigvalsh(xt @ xt.transpose(0, 2, 1) / n)
+            lam_min = min(lam_min, float(evals[:, 0].min()))
+            lam_max = max(lam_max, float(evals[:, -1].max()))
+            count += chunk.shape[0]
 
     violated = lam_min <= 1e-12
     reported_min = 0.0 if violated else lam_min

@@ -25,7 +25,11 @@ def write_dataset(path, d: Dataset) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ValidationError(f"cannot read data file {path}: {exc}") from exc
+    with fh:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "y":
             raise ValidationError(f"{path}: expected header starting with 'y'")

@@ -184,3 +184,16 @@ class TestDiagnoseAndRiesz:
                     "--r", "2", "--mode", "exact"])
         assert code == 0
         assert "c0_estimate" in capsys.readouterr().out
+
+
+class TestMissingInput:
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--prior", "fixed", "--c", "5", "--data"],
+        ["exact", "--tn", "2", "--c", "5", "--data"],
+        ["check-riesz", "--r", "1", "--data"],
+        ["diagnose", "--scalars"],
+    ], ids=["fit", "exact", "check-riesz", "diagnose"])
+    def test_missing_input_file_exits_2(self, tmp_path, capsys, argv):
+        missing = tmp_path / "nope.csv"
+        assert run(argv + [str(missing), "--out", str(tmp_path / "o")]) == 2
+        assert "nope.csv" in capsys.readouterr().err

@@ -16,8 +16,10 @@ from bayes_screen.data import (
     PriorConfig,
     ValidationError,
 )
+from bayes_screen import exact
 from bayes_screen.exact import (
     LogScore,
+    SingularModelError,
     check_sparse_riesz,
     enumerate_posterior,
     enumerate_posterior_with_tn_prior,
@@ -124,6 +126,139 @@ class TestEnumeration:
             assert got[g] == pytest.approx(pr, rel=1e-9)
 
 
+def ar_dataset(n=40, p=7, rho=0.99, seed=3):
+    """AR(1) columns with correlation rho, the last column a copy of column 2."""
+    rngen = np.random.default_rng(seed)
+    z = rngen.standard_normal((n, p - 1))
+    x = np.empty((n, p))
+    x[:, 0] = z[:, 0]
+    for j in range(1, p - 1):
+        x[:, j] = rho * x[:, j - 1] + math.sqrt(1.0 - rho * rho) * z[:, j]
+    x[:, p - 1] = x[:, 2]
+    y = x[:, 0] - x[:, 3] + rngen.standard_normal(n)
+    return Dataset.from_arrays(y, x)
+
+
+def guard_zero_size_lapack(monkeypatch):
+    """Make the numpy LAPACK wrappers that the exact layer calls fail on an
+    empty stack."""
+    for name in ("cholesky", "eigh", "eigvalsh"):
+        orig = getattr(np.linalg, name)
+
+        def guarded(a, *args, _orig=orig, **kwargs):
+            assert np.asarray(a).size > 0, "LAPACK called on a zero-size stack"
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, guarded)
+
+
+class TestBatchedScorer:
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e12])
+    def test_ar_columns_and_duplicate_match_oracle(self, c):
+        d = ar_dataset()
+        prior = PriorConfig(m_n=4, c_prior=FixedC(c))
+        post = enumerate_posterior(d, prior, c, t_n=4)
+        checked = 0
+        for g, v in post.log_scores.items():
+            # At c = 1e12 a model holding both copies has U = X_g'X_g + 1e-12 I
+            # with X_g'X_g exactly singular; rounding s + 1e-12 at s ~ 40
+            # already moves det U by about 1e-3, so no method reaches 1e-12.
+            if c == 1e12 and {2, 6} <= set(g.included):
+                assert math.isfinite(v)
+                continue
+            assert v == pytest.approx(direct_score(g, c, d, prior.nu), rel=1e-12)
+            checked += 1
+        assert checked > 0.8 * len(post.log_scores)
+
+    def test_failing_cholesky_retries_only_that_model(self):
+        # Columns 0 and 1 are both all ones: with 1/c below half an ulp of
+        # n = 100, U of the pair is [[100, 100], [100, 100]] exactly, and its
+        # Cholesky fails in the same stack as every other pair.
+        rngen = np.random.default_rng(21)
+        n, c = 100, 1e16
+        x = np.column_stack([np.ones(n), np.ones(n), rngen.standard_normal((n, 3))])
+        d = Dataset.from_arrays(x[:, 2] + rngen.standard_normal(n), x)
+        prior = PriorConfig(m_n=2, c_prior=FixedC(c))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(x[:, :2].T @ x[:, :2] + np.eye(2) / c)
+        post = enumerate_posterior(d, prior, c, t_n=2)
+        pair = ModelIndicator((0, 1), p=5)
+        for g, v in post.log_scores.items():
+            assert v == log_unnorm_posterior(g, c, d, prior, 2).value
+            if g != pair:
+                assert v == pytest.approx(direct_score(g, c, d, prior.nu), rel=1e-12)
+        # The retry factors U + j I with j = 1e-10 trace(U) / 2 = 1e-8. Its
+        # eigenvalues are a + 100 and a - 100, a = fl(100 + j), along (1, 1)
+        # and (1, -1), and b = X_g'y lies along (1, 1). That matrix has
+        # condition number 2e10, so the factor's small pivot carries a
+        # relative rounding error near 2e10 * 2^-53 = 2e-6, and the score one
+        # of about 1e-6: the bound below is that, not 1e-12.
+        a = 100.0 + 1e-10 * (2 * n) / 2
+        t = float(x[:, 0] @ d.y)
+        quad = float(d.y @ d.y) - 2.0 * t * t / (a + n)
+        retry = (-0.5 * (2 * math.log(c) + math.log(a - n) + math.log(a + n))
+                 - 0.5 * (n + prior.nu) * math.log1p(quad))
+        assert post.log_scores[pair] == pytest.approx(retry, abs=1e-5)
+
+    def test_chol_stack_isolates_failures(self):
+        good = np.array([[4.0, 1.0], [1.0, 3.0]])
+        ones = np.full((2, 2), 100.0)
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        low = exact._chol_stack(np.stack([good, ones, 2.0 * good]))
+        assert np.array_equal(low[0], np.linalg.cholesky(good))
+        assert np.array_equal(low[2], np.linalg.cholesky(2.0 * good))
+        assert np.array_equal(low[1], np.linalg.cholesky(ones + 1e-8 * np.eye(2)))
+        with pytest.raises(SingularModelError):
+            exact._chol_stack(np.stack([good, indefinite, good]))
+
+    def test_chunks_do_not_change_bits(self, monkeypatch):
+        d, _ = make_dataset(n=30, p=7, s=2, seed=6)
+        prior = PriorConfig(m_n=4, c_prior=FixedC(15.0))
+        whole = enumerate_posterior(d, prior, 15.0, t_n=4).log_scores
+        shapes = []
+        score = exact._score_given_c
+
+        def recording(combos, *args):
+            shapes.append(combos.shape)
+            return score(combos, *args)
+
+        monkeypatch.setattr(exact, "_score_given_c", recording)
+        monkeypatch.setattr(exact, "CHUNK_BYTES", 8 * d.n * 7)
+        post = enumerate_posterior(d, prior, 15.0, t_n=4)
+        assert (3, 2) in shapes and (2, 3) in shapes  # sizes 2 and 3 span many chunks
+        assert list(post.log_scores) == list(whole)
+        for g, v in post.log_scores.items():
+            assert v == whole[g]
+            assert v == log_unnorm_posterior(g, 15.0, d, prior, 4).value
+
+    def test_tn_marginal_is_reweighted_enumeration(self):
+        d, _ = make_dataset(n=25, p=6, s=2, seed=8)
+        prior = PriorConfig(m_n=3, c_prior=FixedC(25.0))
+        got = enumerate_posterior_with_tn_prior(d, prior, 25.0)
+        scores = enumerate_posterior(d, prior, 25.0, t_n=3).log_scores
+        weighted = {g: v + math.log(3 - max(len(g), 1) + 1) for g, v in scores.items()}
+        norm = logsumexp(list(weighted.values()))
+        assert list(got) == list(scores)
+        for g, v in weighted.items():
+            assert got[g] == pytest.approx(math.exp(v - norm), rel=1e-12)
+
+    def test_null_model_and_empty_sizes_skip_lapack(self, monkeypatch):
+        guard_zero_size_lapack(monkeypatch)
+        d, _ = make_dataset(n=20, p=3, s=1, seed=2)
+        prior = PriorConfig(nu=6.0, m_n=5, c_prior=GZS(a=1.0, b_n=2.0))
+        null = ModelIndicator((), p=3)
+        want = -0.5 * (d.n + prior.nu) * math.log1p(float(d.y @ d.y))
+        assert log_unnorm_posterior(null, 7.0, d, prior, 5).value == want
+        post = enumerate_posterior(d, prior, 7.0, t_n=5)  # sizes 4 and 5 are empty
+        assert len(post.log_scores) == 2**3
+        assert post.log_scores[null] == want
+        pre = Precomputed.from_dataset(d)
+        assert exact._score_given_c(np.empty((0, 2), dtype=np.intp), 7.0, d, pre, 6.0).shape == (0,)
+        # the null model's marginal does not depend on c: the prior integrates to ~1
+        g_null = log_unnorm_posterior_g(null, d, prior, t_n=5).value
+        assert g_null == pytest.approx(want, abs=1e-6)
+
+
 class TestGPriorMarginal:
     def _scalar_scores(self, d, c_vals, nu):
         # closed-form single-column score, vectorized over c
@@ -173,6 +308,31 @@ class TestGPriorMarginal:
         assert v8 != v128
         with pytest.raises(ValidationError, match="n_nodes"):
             log_unnorm_posterior_g(gamma, d, prior, t_n=5, n_nodes=0)
+
+    @pytest.mark.parametrize("c_prior", [GZS(a=1.0, b_n=2.0), GHG(d=1.0, b=2.0)], ids=["gzs", "ghg"])
+    def test_eigh_quadrature_matches_per_node_cholesky(self, c_prior):
+        d, _ = make_dataset(n=25, p=5, s=2, seed=5)
+        prior = PriorConfig(nu=6.0, m_n=5, c_prior=c_prior)
+        logpdf, c_lo, c_hi = exact._c_prior_logpdf_and_bounds(c_prior, d.p)
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        k_lo, k_hi = math.log(c_lo), math.log(c_hi)
+        kappa = 0.5 * (k_hi - k_lo) * nodes + 0.5 * (k_hi + k_lo)
+        for gamma in iter_models(5, 3):
+            per_node = np.array([log_unnorm_posterior(gamma, float(c), d, prior, 5).value
+                                 for c in np.exp(kappa)])
+            want = logsumexp(per_node + logpdf(np.exp(kappa)) + kappa, b=weights * 0.5 * (k_hi - k_lo))
+            got = log_unnorm_posterior_g(gamma, d, prior, t_n=5, n_nodes=64).value
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("c_prior", [GZS(a=1.0, b_n=2.0), GHG(d=1.0, b=2.0)], ids=["gzs", "ghg"])
+    @pytest.mark.parametrize("n,p,seed", [(20, 6, 0), (15, 5, 1), (20, 6, 2)])
+    def test_128_and_256_nodes_agree(self, c_prior, n, p, seed):
+        d, _ = make_dataset(n=n, p=p, s=2, seed=seed)
+        prior = PriorConfig(nu=6.0, m_n=p, c_prior=c_prior)
+        for gamma in iter_models(p, 3):
+            v128 = log_unnorm_posterior_g(gamma, d, prior, t_n=3, n_nodes=128).value
+            v256 = log_unnorm_posterior_g(gamma, d, prior, t_n=3, n_nodes=256).value
+            assert v128 == pytest.approx(v256, abs=1e-10)
 
     def test_improper_priors_rejected(self):
         d, _ = make_dataset(n=20, p=3, s=1)
@@ -230,6 +390,20 @@ class TestSparseRiesz:
         assert sampled.lower_bound_only
         assert sampled.lambda_min >= exact.lambda_min - 1e-12
         assert sampled.lambda_max <= exact.lambda_max + 1e-12
+
+    def test_sampled_mode_matches_per_draw_loop(self):
+        rngen = np.random.default_rng(13)
+        x = rngen.standard_normal((15, 9))
+        report = check_sparse_riesz(x, r=2, mode="sampled", budget=300, seed=5)
+        draws = np.random.default_rng(5)
+        evals = []
+        for _ in range(300):
+            k = int(draws.integers(1, 5))
+            xg = x[:, draws.choice(9, size=k, replace=False)]
+            evals.append(np.linalg.eigvalsh(xg.T @ xg / 15))
+        assert report.n_models == 300
+        assert report.lambda_min == pytest.approx(min(e[0] for e in evals), rel=1e-12)
+        assert report.lambda_max == pytest.approx(max(e[-1] for e in evals), rel=1e-12)
 
     def test_singular_submatrix_flagged(self):
         x = np.ones((10, 3))  # duplicate columns: any 2-subset is singular
