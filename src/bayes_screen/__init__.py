@@ -20,13 +20,11 @@ from .data import (
 )
 from .exact import (
     EnumeratedPosterior,
-    LogScore,
     check_sparse_riesz,
     enumerate_posterior,
     enumerate_posterior_with_tn_prior,
     log_unnorm_posterior,
     log_unnorm_posterior_g,
-    map_model,
 )
 from .gibbs import ChainAbort, ChainConfig, ChainOutput, merge_chains, run_chain
 from .hyperc import MhTuning, preset_c

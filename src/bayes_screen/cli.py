@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, diagnostics, hyperc, io
 from .data import GHG, GZS, FixedC, PriorConfig, ValidationError
-from .exact import LogScore, check_sparse_riesz, enumerate_posterior, map_model
+from .exact import check_sparse_riesz, enumerate_posterior
 # perfbench/tracing.py wraps cli.log_unnorm_posterior, so the name stays here
 from .exact import log_unnorm_posterior  # noqa: F401
 from .gibbs import ChainAbort, ChainConfig, chain_seed, merge_chains, run_chain
@@ -33,6 +33,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_ABORT = 3
 EXIT_PARTIAL = 4
+
+FLAG_VALUES = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
 # --- config file --------------------------------------------------------------
@@ -55,22 +58,29 @@ def load_config_file(path) -> dict:
     return values
 
 
-def apply_config_defaults(parser: argparse.ArgumentParser, values: dict) -> None:
-    """Install config-file values as parser defaults (flags still win)."""
-    converted = {}
-    for action in parser._actions:
-        if action.dest in values:
-            raw = values[action.dest]
-            if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-                converted[action.dest] = raw.lower() in ("1", "true", "yes", "on")
-            elif action.type is not None:
-                converted[action.dest] = action.type(raw)
-            else:
-                converted[action.dest] = raw
-    unknown = set(values) - set(converted)
+def config_tokens(parser: argparse.ArgumentParser, values: dict) -> list:
+    """Config-file values as option tokens for ``parser``, so that argparse
+    checks their types, choices and required options like the command
+    line's own. Placed ahead of the command line's options, which win."""
+    actions = {a.dest: a for a in parser._actions if a.option_strings}
+    unknown = set(values) - set(actions)
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    parser.set_defaults(**converted)
+    tokens = []
+    for key, raw in values.items():
+        action = actions[key]
+        option = action.option_strings[-1]
+        if action.nargs == 0:  # a flag: present when true
+            flag = FLAG_VALUES.get(raw.lower())
+            if flag is None:
+                raise ValidationError(f"config key {key}: expected true or false, got {raw!r}")
+            if flag:
+                tokens.append(option)
+        elif action.nargs == "+":
+            tokens += [option, *raw.split()]
+        else:
+            tokens.append(f"{option}={raw}")
+    return tokens
 
 
 # --- shared argument groups ----------------------------------------------------
@@ -210,7 +220,14 @@ def _write_diagnostics(path, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a credible level before any chain runs."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"--alpha must be in (0, 1), got {alpha}")
+
+
 def cmd_fit(args) -> int:
+    check_alpha(args.alpha)
     draws = ChainConfig(n_iter=args.iters, n_burn=args.burn, thin=args.thin).n_draws
     if draws < diagnostics.MIN_ESS_LENGTH:
         raise ValidationError(
@@ -256,8 +273,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     dataset = io.read_dataset(args.data)
     c = fixed_c_value(args, dataset.n, dataset.p)
     m_n = args.mn if args.mn is not None else PriorConfig.default_m_n(dataset.n)
@@ -268,11 +283,12 @@ def cmd_exact(args) -> int:
         if "too large" in str(exc):
             raise ValidationError(str(exc) + " - use `fit` for stochastic search") from exc
         raise
-    io.write_enumeration(outdir / "enumeration.csv", post.entries, post.log_scores)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    io.write_enumeration(outdir / "enumeration.csv", post)
     io.write_meta(outdir / "meta.json", resolved_config(args), args.seed)
-    best = map_model(LogScore(value=v, gamma=g) for g, v in post.log_scores.items())
-    print(f"enumerated {len(post.entries)} models; MAP = {{{best.label() or 'null'}}} "
-          f"prob {post.prob(best):.4f}")
+    print(f"enumerated {len(post.entries)} models; MAP = {{{post.map_model().label() or 'null'}}} "
+          f"prob {post.probs[0]:.4f}")
     return EXIT_OK
 
 
@@ -292,6 +308,7 @@ def _replicate_one(payload):
 
 
 def cmd_replicate(args) -> int:
+    check_alpha(args.alpha)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     spec = generator_spec(args)
@@ -436,7 +453,7 @@ def build_parser():
 
 def preparse_config(argv) -> tuple:
     """(subcommand, --config path or None), read ahead of the main parse so
-    that file values can become the subcommand's defaults. A --config
+    that file values can be spliced in after the subcommand. A --config
     without a path is an argparse error (exit 2)."""
     pre = argparse.ArgumentParser(prog="bayes-screen", add_help=False, allow_abbrev=False)
     pre.add_argument("command", nargs="?")
@@ -451,7 +468,8 @@ def main(argv=None) -> int:
     try:
         command, config = preparse_config(argv)
         if config is not None and command in commands:
-            apply_config_defaults(commands[command], load_config_file(config))
+            at = argv.index(command) + 1
+            argv[at:at] = config_tokens(commands[command], load_config_file(config))
         args = parser.parse_args(argv)
         return args.func(args)
     except ValidationError as exc:

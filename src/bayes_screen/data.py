@@ -18,6 +18,11 @@ class ValidationError(ValueError):
     """Raised when a dataset, prior or config fails validation."""
 
 
+def model_label(included) -> str:
+    """1-based '+'-joined label of 0-based indices; empty for the null model."""
+    return "+".join(str(j + 1) for j in included)
+
+
 @dataclass(frozen=True)
 class ModelIndicator:
     """A candidate model: the set of included column indices.
@@ -60,8 +65,7 @@ class ModelIndicator:
         return mask
 
     def label(self) -> str:
-        """1-based '+'-joined label; empty string for the null model."""
-        return "+".join(str(j + 1) for j in self.included)
+        return model_label(self.included)
 
     @classmethod
     def from_label(cls, label: str, p: int) -> "ModelIndicator":

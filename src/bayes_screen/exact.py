@@ -25,25 +25,23 @@ class SingularModelError(ValueError):
     """The model's information matrix could not be factorized."""
 
 
-@dataclass(frozen=True)
-class LogScore:
-    value: float
-    gamma: ModelIndicator
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnumeratedPosterior:
-    """Normalized posterior over all models with size <= t_n. ``entries``
-    maps each model to its probability, ``log_scores`` to its unnormalized
-    log posterior mass (the value ``log_unnorm_posterior`` returns)."""
+    """Normalized posterior over all models with size <= t_n, in output
+    order: decreasing probability, then smaller size, then lexicographic
+    index order. ``entries`` holds each model's 0-based index tuple;
+    ``log_scores`` (the value ``log_unnorm_posterior`` returns) and
+    ``probs`` are aligned with it."""
 
-    entries: dict
-    log_scores: dict
+    entries: tuple
+    log_scores: np.ndarray
+    probs: np.ndarray
     t_n: int
     c: float
+    p: int
 
-    def prob(self, gamma: ModelIndicator) -> float:
-        return self.entries.get(gamma, 0.0)
+    def map_model(self) -> ModelIndicator:
+        return ModelIndicator(self.entries[0], p=self.p)
 
 
 def _chol_factor(u: np.ndarray):
@@ -118,7 +116,7 @@ def log_unnorm_posterior(
     prior: PriorConfig,
     t_n: int,
     pre: Precomputed | None = None,
-) -> LogScore | None:
+) -> float | None:
     """Exact unnormalized log posterior mass of one model at fixed c.
 
     Returns ``None`` (absent score) for models exceeding the size cap.
@@ -130,17 +128,11 @@ def log_unnorm_posterior(
     if pre is None:
         pre = Precomputed.from_dataset(d)
     combos = np.array(gamma.included, dtype=np.intp).reshape(1, len(gamma))
-    return LogScore(value=float(_score_given_c(combos, c, d, pre, prior.nu)[0]), gamma=gamma)
+    return float(_score_given_c(combos, c, d, pre, prior.nu)[0])
 
 
 def model_space_size(p: int, t_n: int) -> int:
     return sum(math.comb(p, k) for k in range(0, t_n + 1))
-
-
-def iter_models(p: int, t_n: int):
-    for k in range(0, t_n + 1):
-        for combo in itertools.combinations(range(p), k):
-            yield ModelIndicator(combo, p=p)
 
 
 def _chunks(combos, k: int, n: int):
@@ -153,26 +145,37 @@ def _chunks(combos, k: int, n: int):
 
 
 def _enumerate_scores(d: Dataset, nu: float, c: float, t_n: int):
-    """(models, log scores) of every model of size <= t_n, in ``iter_models``
-    order, scored one size at a time in chunks."""
+    """(0-based index tuples, log scores) of every model of size <= t_n, by
+    size and then lexicographically, scored one size at a time in chunks."""
+    if t_n < 0:
+        raise ValidationError("t_n must be >= 0")
     if model_space_size(d.p, t_n) > ENUMERATION_GUARD:
         raise ValidationError("model space too large for enumeration")
     pre = Precomputed.from_dataset(d)
-    gammas = [ModelIndicator((), p=d.p)]
+    models = [()]
     scores = [_score_given_c(np.empty((1, 0), dtype=np.intp), c, d, pre, nu)]
     for k in range(1, t_n + 1):
-        for combos in _chunks(itertools.combinations(range(d.p), k), k, d.n):
-            scores.append(_score_given_c(combos, c, d, pre, nu))
-            gammas.extend(ModelIndicator(row, p=d.p) for row in combos.tolist())
-    return gammas, np.concatenate(scores)
+        combos = list(itertools.combinations(range(d.p), k))
+        models += combos
+        scores += [_score_given_c(chunk, c, d, pre, nu) for chunk in _chunks(combos, k, d.n)]
+    return models, np.concatenate(scores)
 
 
 def enumerate_posterior(d: Dataset, prior: PriorConfig, c: float, t_n: int) -> EnumeratedPosterior:
-    """Full enumeration of the posterior over models with size <= t_n."""
-    gammas, scores = _enumerate_scores(d, prior.nu, c, t_n)
+    """Full enumeration of the posterior over models with size <= t_n.
+
+    The enumeration comes by size and then lexicographically, so one stable
+    sort on the probability puts ties in that order."""
+    models, scores = _enumerate_scores(d, prior.nu, c, t_n)
     probs = np.exp(scores - logsumexp(scores))
+    order = np.argsort(-probs, kind="stable")
     return EnumeratedPosterior(
-        entries=dict(zip(gammas, probs)), log_scores=dict(zip(gammas, scores.tolist())), t_n=t_n, c=c
+        entries=tuple(models[i] for i in order.tolist()),
+        log_scores=scores[order],
+        probs=probs[order],
+        t_n=t_n,
+        c=c,
+        p=d.p,
     )
 
 
@@ -182,14 +185,15 @@ def enumerate_posterior_with_tn_prior(d: Dataset, prior: PriorConfig, c: float) 
     The joint over (gamma, t_n) puts mass q(gamma) on every t_n in
     [max(|gamma|, 1), m_n], so the gamma marginal weights each model score
     by the number of admissible t_n values. This is the stationary
-    gamma-marginal of the sampler with Fixed(c).
+    gamma-marginal of the sampler with Fixed(c). Keyed by ModelIndicator,
+    in enumeration order.
     """
     m_n = prior.m_n
-    gammas, scores = _enumerate_scores(d, prior.nu, c, m_n)
-    n_tn = np.array([m_n - max(len(g), 1) + 1 for g in gammas])
+    models, scores = _enumerate_scores(d, prior.nu, c, m_n)
+    n_tn = np.array([m_n - max(len(g), 1) + 1 for g in models])
     scores = scores + np.log(n_tn)
     probs = np.exp(scores - logsumexp(scores))
-    return dict(zip(gammas, probs))
+    return {ModelIndicator(g, p=d.p): pr for g, pr in zip(models, probs)}
 
 
 # --- g-prior marginal via quadrature -----------------------------------------
@@ -234,7 +238,7 @@ def log_unnorm_posterior_g(
     prior: PriorConfig,
     t_n: int,
     n_nodes: int = 128,
-) -> LogScore | None:
+) -> float | None:
     """log of the g-prior marginal score: integral of the fixed-c kernel
     against g(c), by Gauss-Legendre quadrature in kappa = log c.
 
@@ -266,17 +270,7 @@ def log_unnorm_posterior_g(
     scores = -0.5 * logdet_w - 0.5 * (d.n + prior.nu) * np.log1p(quad)
     # integrand in kappa: q(gamma | c, Z) g(c) c  (Jacobian dc = c dkappa)
     logf = scores + logpdf(c_vals) + kappa
-    value = logsumexp(logf, b=weights * 0.5 * (k_hi - k_lo))
-    return LogScore(value=float(value), gamma=gamma)
-
-
-def map_model(scores) -> ModelIndicator:
-    """Highest-scoring model; ties broken by smaller size, then
-    lexicographically smallest index set."""
-    scores = [s for s in scores if s is not None]
-    if not scores:
-        raise ValidationError("no scores to maximize over")
-    return min(scores, key=lambda s: (-s.value, len(s.gamma), s.gamma.included)).gamma
+    return float(logsumexp(logf, b=weights * 0.5 * (k_hi - k_lo)))
 
 
 # --- numerical assumption checker ---------------------------------------------
@@ -308,6 +302,8 @@ def check_sparse_riesz(
     n, p = x.shape
     if r < 1:
         raise ValidationError("r must be >= 1")
+    if budget < 1:
+        raise ValidationError("budget must be >= 1")
     size_cap = min(2 * r, p)
     if mode == "exact":
         total = sum(math.comb(p, k) for k in range(1, size_cap + 1))

@@ -4,53 +4,14 @@ median selected size and median estimation error."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
+from scipy.special import ndtri
 
 from .data import Dataset, GroundTruth, ModelIndicator, ValidationError
 from .gibbs import ChainOutput
-
-# Acklam's rational approximation of the standard normal quantile
-# (relative error < 1.15e-9), followed by one Halley refinement step that
-# pushes the error to machine precision.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-
-def normal_quantile(prob: float) -> float:
-    """Inverse standard normal CDF via Acklam's rational approximation.
-
-    The upper half reflects onto the lower half (1 - p is exact there), so
-    the erfc-based Halley refinement keeps full relative precision in both
-    tails.
-    """
-    if not 0.0 < prob < 1.0:
-        raise ValidationError("quantile argument must be in (0, 1)")
-    if prob > 0.5:
-        return -normal_quantile(1.0 - prob)
-    p_low = 0.02425
-    if prob < p_low:
-        q = math.sqrt(-2.0 * math.log(prob))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    else:
-        q = prob - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    # Halley refinement against the exact CDF (erfc-based, x <= 0 here)
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - prob
-    u = err * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
 
 
 @dataclass(frozen=True)
@@ -93,7 +54,7 @@ def credible_intervals(
     # diag(U^-1) via triangular solves: squared column norms of L^-1
     linv = linalg.solve_triangular(low, np.eye(k), lower=True)
     diag_uinv = np.einsum("ij,ij->j", linv, linv)
-    z = normal_quantile(1.0 - alpha / 2.0)
+    z = float(ndtri(1.0 - alpha / 2.0))
     halfwidths = z * np.sqrt(sigma_sq * diag_uinv)
     entries = tuple((j, float(xi_j), float(hw)) for j, xi_j, hw in zip(idx, xi, halfwidths))
     return CredibleIntervalSet(entries=entries, alpha=alpha, gamma=gamma)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, GroundTruth, ModelIndicator, ValidationError, derive_ground_truth
+from .data import Dataset, GroundTruth, ValidationError, derive_ground_truth, model_label
 from .gibbs import ChainOutput
 
 _FLOAT_FMT = "%.17g"
@@ -66,13 +66,11 @@ def read_ground_truth(path, p: int) -> GroundTruth:
     return derive_ground_truth(beta0, sigma0_sq)
 
 
-def write_enumeration(path, entries, scores) -> None:
-    """gamma,log_score,prob rows sorted by decreasing probability.
-    ``entries`` maps ModelIndicator -> prob; ``scores`` maps to log scores."""
-    rows = sorted(entries.items(), key=lambda kv: (-kv[1], len(kv[0]), kv[0].included))
+def write_enumeration(path, post) -> None:
+    """gamma,log_score,prob rows of an EnumeratedPosterior, in its order."""
     lines = ["gamma,log_score,prob"]
-    for gamma, prob in rows:
-        lines.append(f"{gamma.label()},{format_float(scores[gamma])},{format_float(prob)}")
+    for idx, score, prob in zip(post.entries, post.log_scores.tolist(), post.probs.tolist()):
+        lines.append(f"{model_label(idx)},{format_float(score)},{format_float(prob)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

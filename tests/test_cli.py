@@ -59,6 +59,19 @@ class TestExact:
                     "--tn", "15", "--c", "10", "--out", str(tmp_path / "e")])
         assert code == 2
 
+    def test_negative_tn_rejected(self, tmp_path, data_path):
+        out = tmp_path / "exact"
+        assert run(["exact", "--data", str(data_path), "--tn", "-1", "--c", "10",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+@pytest.fixture
+def small_data(tmp_path):
+    run(["simulate", "--example", "1", "--n", "20", "--p", "5", "--s", "2",
+         "--seed", "7", "--out", str(tmp_path)])
+    return str(tmp_path / "dataset.csv")
+
 
 class TestFit:
     def test_bit_identical_reruns(self, tmp_path):
@@ -86,6 +99,15 @@ class TestFit:
         assert run(argv + ["--iters", "29", "--thin", "2", "--out", str(tmp_path / "ok")]) == 0
         assert (tmp_path / "ok" / "diagnostics.csv").exists()
 
+    @pytest.mark.parametrize("alpha", ["1.5", "0", "-0.1", "nan"])
+    def test_alpha_rejected_before_running(self, tmp_path, small_data, alpha):
+        # --c 1e-6 leaves the modal model empty, where no interval is built
+        for prior in (["--prior", "gzs"], ["--prior", "fixed", "--c", "1e-6"]):
+            out = tmp_path / "f"
+            assert run(["fit", "--data", small_data, *prior, "--iters", "100", "--burn", "10",
+                        "--alpha", alpha, "--out", str(out)]) == 2
+            assert not out.exists()
+
     def test_fixed_prior_requires_c(self, tmp_path):
         run(["simulate", "--example", "1", "--n", "20", "--p", "5", "--s", "2",
              "--seed", "7", "--out", str(tmp_path)])
@@ -112,6 +134,13 @@ class TestReplicate:
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert lines[0] == "rep,selected_gamma,freq_true,fcr,mean_ci_len,size,err"
         assert len(lines) == 3
+
+    def test_alpha_rejected_before_running(self, tmp_path):
+        out = tmp_path / "r"
+        assert run(["replicate", "--example", "1", "--n", "20", "--p", "5", "--s", "2",
+                    "--iters", "100", "--burn", "10", "--reps", "2", "--alpha", "1.5",
+                    "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -150,6 +179,35 @@ class TestConfigFile:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["config"]["iters"] == 400
 
+    @pytest.mark.parametrize("line", ["prior = bogus", "iters = ten", "c-preset = aic"])
+    def test_config_values_checked_by_argparse(self, tmp_path, small_data, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--data", small_data, "--config", str(cfg), "--out", str(tmp_path / "f")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "f").exists()
+
+    def test_config_supplies_required_option_and_flag(self, tmp_path, small_data):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"data = {small_data}\niters = 60\nburn = 10\nrecord-beta = yes\n")
+        out = tmp_path / "f"
+        assert run(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "beta_chain0.csv").exists()
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["config"]["data"] == small_data
+        assert meta["config"]["record_beta"] is True
+        cfg.write_text(f"data = {small_data}\nrecord-beta = maybe\n")
+        assert run(["fit", "--config", str(cfg), "--out", str(tmp_path / "g")]) == 2
+
+    def test_config_list_option(self, tmp_path, small_data):
+        run(["fit", "--data", small_data, "--iters", "100", "--burn", "10", "--chains", "2",
+             "--out", str(tmp_path / "f")])
+        cfg = tmp_path / "diag.cfg"
+        cfg.write_text(f"scalars = {tmp_path / 'f' / 'scalars_chain0.csv'} {tmp_path / 'f' / 'scalars_chain1.csv'}\n")
+        assert run(["diagnose", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+        assert (tmp_path / "d" / "diagnostics.csv").read_text() == (tmp_path / "f" / "diagnostics.csv").read_text()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = run(["fit", "--data", "d.csv", "--config", str(tmp_path / "missing.cfg")])
         assert code == 2
@@ -184,6 +242,13 @@ class TestDiagnoseAndRiesz:
                     "--r", "2", "--mode", "exact"])
         assert code == 0
         assert "c0_estimate" in capsys.readouterr().out
+
+    def test_check_riesz_budget_must_be_positive(self, tmp_path):
+        run(["simulate", "--example", "1", "--n", "30", "--p", "6", "--s", "2",
+             "--seed", "10", "--out", str(tmp_path)])
+        for mode in ("sampled", "exact"):
+            assert run(["check-riesz", "--data", str(tmp_path / "dataset.csv"),
+                        "--r", "2", "--mode", mode, "--budget", "0"]) == 2
 
 
 class TestMissingInput:

@@ -16,21 +16,29 @@ from bayes_screen.data import (
     PriorConfig,
     ValidationError,
 )
-from bayes_screen import exact
+from bayes_screen import exact, io
 from bayes_screen.exact import (
-    LogScore,
     SingularModelError,
     check_sparse_riesz,
     enumerate_posterior,
     enumerate_posterior_with_tn_prior,
-    iter_models,
     log_unnorm_posterior,
     log_unnorm_posterior_g,
-    map_model,
     model_space_size,
 )
 
 from conftest import make_dataset
+
+
+def all_models(p, t_n):
+    for k in range(t_n + 1):
+        for combo in itertools.combinations(range(p), k):
+            yield ModelIndicator(combo, p=p)
+
+
+def by_model(post, values):
+    """An enumeration's ``values`` (log_scores or probs) keyed by index tuple."""
+    return dict(zip(post.entries, values.tolist()))
 
 
 def direct_score(gamma, c, d, nu):
@@ -39,7 +47,7 @@ def direct_score(gamma, c, d, nu):
     k = len(gamma)
     if k == 0:
         return -0.5 * (d.n + nu) * math.log1p(yty)
-    xg = d.x[:, list(gamma.included)]
+    xg = d.x[:, list(gamma)]
     u = xg.T @ xg + np.eye(k) / c
     sign, logdet_u = np.linalg.slogdet(u)
     assert sign > 0
@@ -54,10 +62,10 @@ class TestFixedCScore:
         d = Dataset.from_arrays([1.0, 0.0, 0.0], [[1.0], [0.0], [0.0]])
         prior = PriorConfig(nu=6.0, m_n=1, c_prior=FixedC(1.0))
         null = log_unnorm_posterior(ModelIndicator((), p=1), 1.0, d, prior, t_n=1)
-        assert null.value == pytest.approx(-4.5 * math.log(2.0), rel=1e-14)
+        assert null == pytest.approx(-4.5 * math.log(2.0), rel=1e-14)
         one = log_unnorm_posterior(ModelIndicator((0,), p=1), 1.0, d, prior, t_n=1)
         expected = -0.5 * math.log(2.0) - 4.5 * math.log(1.5)
-        assert one.value == pytest.approx(expected, rel=1e-14)
+        assert one == pytest.approx(expected, rel=1e-14)
 
     def test_matches_dense_oracle(self):
         d, _ = make_dataset(n=30, p=8, s=3, seed=4)
@@ -66,7 +74,7 @@ class TestFixedCScore:
         for _ in range(20):
             k = int(rngen.integers(0, 6))
             gamma = ModelIndicator(tuple(rngen.choice(8, size=k, replace=False)), p=8)
-            got = log_unnorm_posterior(gamma, 25.0, d, prior, t_n=8).value
+            got = log_unnorm_posterior(gamma, 25.0, d, prior, t_n=8)
             want = direct_score(gamma, 25.0, d, prior.nu)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
@@ -85,23 +93,23 @@ class TestFixedCScore:
 class TestEnumeration:
     def test_model_space_size(self):
         assert model_space_size(15, 4) == 1 + 15 + 105 + 455 + 1365
-        assert len(list(iter_models(5, 2))) == model_space_size(5, 2)
+        d, _ = make_dataset(n=20, p=5, s=2)
+        post = enumerate_posterior(d, PriorConfig(m_n=2, c_prior=FixedC(10.0)), 10.0, t_n=2)
+        assert len(post.entries) == len(set(post.entries)) == model_space_size(5, 2)
 
     def test_probabilities_normalize_and_order(self):
         d, _ = make_dataset(n=30, p=5, s=2, seed=1)
         prior = PriorConfig(m_n=3, c_prior=FixedC(30.0))
         post = enumerate_posterior(d, prior, 30.0, t_n=3)
-        probs = np.array(list(post.entries.values()))
-        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert post.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert len(post.entries) == len(post.log_scores) == len(post.probs)
         # probability ratios reproduce score differences
-        g1 = ModelIndicator((0, 1), p=5)
-        g2 = ModelIndicator((0,), p=5)
-        s1 = direct_score(g1, 30.0, d, prior.nu)
-        s2 = direct_score(g2, 30.0, d, prior.nu)
-        assert math.log(post.prob(g1) / post.prob(g2)) == pytest.approx(s1 - s2, abs=1e-9)
-        assert post.log_scores.keys() == post.entries.keys()
-        for g, v in post.log_scores.items():
-            assert v == log_unnorm_posterior(g, 30.0, d, prior, 3).value
+        probs = by_model(post, post.probs)
+        s1 = direct_score((0, 1), 30.0, d, prior.nu)
+        s2 = direct_score((0,), 30.0, d, prior.nu)
+        assert math.log(probs[(0, 1)] / probs[(0,)]) == pytest.approx(s1 - s2, abs=1e-9)
+        for g, v in zip(post.entries, post.log_scores):
+            assert v == log_unnorm_posterior(ModelIndicator(g, p=5), 30.0, d, prior, 3)
 
     def test_enumeration_guard(self):
         d, _ = make_dataset(n=20, p=60, s=2)
@@ -159,11 +167,11 @@ class TestBatchedScorer:
         prior = PriorConfig(m_n=4, c_prior=FixedC(c))
         post = enumerate_posterior(d, prior, c, t_n=4)
         checked = 0
-        for g, v in post.log_scores.items():
+        for g, v in zip(post.entries, post.log_scores):
             # At c = 1e12 a model holding both copies has U = X_g'X_g + 1e-12 I
             # with X_g'X_g exactly singular; rounding s + 1e-12 at s ~ 40
             # already moves det U by about 1e-3, so no method reaches 1e-12.
-            if c == 1e12 and {2, 6} <= set(g.included):
+            if c == 1e12 and {2, 6} <= set(g):
                 assert math.isfinite(v)
                 continue
             assert v == pytest.approx(direct_score(g, c, d, prior.nu), rel=1e-12)
@@ -182,9 +190,9 @@ class TestBatchedScorer:
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(x[:, :2].T @ x[:, :2] + np.eye(2) / c)
         post = enumerate_posterior(d, prior, c, t_n=2)
-        pair = ModelIndicator((0, 1), p=5)
-        for g, v in post.log_scores.items():
-            assert v == log_unnorm_posterior(g, c, d, prior, 2).value
+        pair = (0, 1)
+        for g, v in zip(post.entries, post.log_scores):
+            assert v == log_unnorm_posterior(ModelIndicator(g, p=5), c, d, prior, 2)
             if g != pair:
                 assert v == pytest.approx(direct_score(g, c, d, prior.nu), rel=1e-12)
         # The retry factors U + j I with j = 1e-10 trace(U) / 2 = 1e-8. Its
@@ -198,7 +206,7 @@ class TestBatchedScorer:
         quad = float(d.y @ d.y) - 2.0 * t * t / (a + n)
         retry = (-0.5 * (2 * math.log(c) + math.log(a - n) + math.log(a + n))
                  - 0.5 * (n + prior.nu) * math.log1p(quad))
-        assert post.log_scores[pair] == pytest.approx(retry, abs=1e-5)
+        assert by_model(post, post.log_scores)[pair] == pytest.approx(retry, abs=1e-5)
 
     def test_chol_stack_isolates_failures(self):
         good = np.array([[4.0, 1.0], [1.0, 3.0]])
@@ -214,7 +222,7 @@ class TestBatchedScorer:
     def test_chunks_do_not_change_bits(self, monkeypatch):
         d, _ = make_dataset(n=30, p=7, s=2, seed=6)
         prior = PriorConfig(m_n=4, c_prior=FixedC(15.0))
-        whole = enumerate_posterior(d, prior, 15.0, t_n=4).log_scores
+        whole = enumerate_posterior(d, prior, 15.0, t_n=4)
         shapes = []
         score = exact._score_given_c
 
@@ -226,21 +234,22 @@ class TestBatchedScorer:
         monkeypatch.setattr(exact, "CHUNK_BYTES", 8 * d.n * 7)
         post = enumerate_posterior(d, prior, 15.0, t_n=4)
         assert (3, 2) in shapes and (2, 3) in shapes  # sizes 2 and 3 span many chunks
-        assert list(post.log_scores) == list(whole)
-        for g, v in post.log_scores.items():
-            assert v == whole[g]
-            assert v == log_unnorm_posterior(g, 15.0, d, prior, 4).value
+        assert post.entries == whole.entries
+        assert np.array_equal(post.log_scores, whole.log_scores)
+        assert np.array_equal(post.probs, whole.probs)
+        for g, v in zip(post.entries, post.log_scores):
+            assert v == log_unnorm_posterior(ModelIndicator(g, p=7), 15.0, d, prior, 4)
 
     def test_tn_marginal_is_reweighted_enumeration(self):
         d, _ = make_dataset(n=25, p=6, s=2, seed=8)
         prior = PriorConfig(m_n=3, c_prior=FixedC(25.0))
         got = enumerate_posterior_with_tn_prior(d, prior, 25.0)
-        scores = enumerate_posterior(d, prior, 25.0, t_n=3).log_scores
-        weighted = {g: v + math.log(3 - max(len(g), 1) + 1) for g, v in scores.items()}
+        post = enumerate_posterior(d, prior, 25.0, t_n=3)
+        weighted = {g: v + math.log(3 - max(len(g), 1) + 1) for g, v in zip(post.entries, post.log_scores)}
         norm = logsumexp(list(weighted.values()))
-        assert list(got) == list(scores)
+        assert list(got) == list(all_models(6, 3))  # enumeration order
         for g, v in weighted.items():
-            assert got[g] == pytest.approx(math.exp(v - norm), rel=1e-12)
+            assert got[ModelIndicator(g, p=6)] == pytest.approx(math.exp(v - norm), rel=1e-12)
 
     def test_null_model_and_empty_sizes_skip_lapack(self, monkeypatch):
         guard_zero_size_lapack(monkeypatch)
@@ -248,14 +257,14 @@ class TestBatchedScorer:
         prior = PriorConfig(nu=6.0, m_n=5, c_prior=GZS(a=1.0, b_n=2.0))
         null = ModelIndicator((), p=3)
         want = -0.5 * (d.n + prior.nu) * math.log1p(float(d.y @ d.y))
-        assert log_unnorm_posterior(null, 7.0, d, prior, 5).value == want
+        assert log_unnorm_posterior(null, 7.0, d, prior, 5) == want
         post = enumerate_posterior(d, prior, 7.0, t_n=5)  # sizes 4 and 5 are empty
-        assert len(post.log_scores) == 2**3
-        assert post.log_scores[null] == want
+        assert len(post.entries) == 2**3
+        assert by_model(post, post.log_scores)[()] == want
         pre = Precomputed.from_dataset(d)
         assert exact._score_given_c(np.empty((0, 2), dtype=np.intp), 7.0, d, pre, 6.0).shape == (0,)
         # the null model's marginal does not depend on c: the prior integrates to ~1
-        g_null = log_unnorm_posterior_g(null, d, prior, t_n=5).value
+        g_null = log_unnorm_posterior_g(null, d, prior, t_n=5)
         assert g_null == pytest.approx(want, abs=1e-6)
 
 
@@ -274,7 +283,7 @@ class TestGPriorMarginal:
         d, _ = make_dataset(n=25, p=4, s=1, seed=3)
         prior = PriorConfig(nu=6.0, m_n=4, c_prior=GZS(a=1.0, b_n=2.0))
         gamma = ModelIndicator((0,), p=4)
-        got = log_unnorm_posterior_g(gamma, d, prior, t_n=4).value
+        got = log_unnorm_posterior_g(gamma, d, prior, t_n=4)
         rngen = np.random.default_rng(7)
         c_draws = stats.invgamma(1.0, scale=4.0**2.0).rvs(size=2_000_000, random_state=rngen)
         mc = logsumexp(self._scalar_scores(d, c_draws, prior.nu)) - math.log(c_draws.size)
@@ -284,7 +293,7 @@ class TestGPriorMarginal:
         d, _ = make_dataset(n=25, p=4, s=1, seed=3)
         prior = PriorConfig(nu=6.0, m_n=4, c_prior=GHG(d=1.0, b=2.0))
         gamma = ModelIndicator((0,), p=4)
-        got = log_unnorm_posterior_g(gamma, d, prior, t_n=4).value
+        got = log_unnorm_posterior_g(gamma, d, prior, t_n=4)
         rngen = np.random.default_rng(8)
         s = stats.beta(4.0 + 1.0, 2.0).rvs(size=2_000_000, random_state=rngen)
         c_draws = s / (1.0 - s)
@@ -295,16 +304,16 @@ class TestGPriorMarginal:
         d, _ = make_dataset(n=25, p=4, s=2, seed=5)
         prior = PriorConfig(nu=6.0, m_n=4, c_prior=GZS(a=2.0, b_n=2.0))
         gamma = ModelIndicator((0, 1), p=4)
-        v128 = log_unnorm_posterior_g(gamma, d, prior, t_n=4, n_nodes=128).value
-        v512 = log_unnorm_posterior_g(gamma, d, prior, t_n=4, n_nodes=512).value
+        v128 = log_unnorm_posterior_g(gamma, d, prior, t_n=4, n_nodes=128)
+        v512 = log_unnorm_posterior_g(gamma, d, prior, t_n=4, n_nodes=512)
         assert v128 == pytest.approx(v512, abs=1e-8)
 
     def test_n_nodes_honoured(self):
         d, _ = make_dataset(n=30, p=5, s=2, seed=5)
         prior = PriorConfig(nu=6.0, m_n=5, c_prior=GHG(d=1.0, b=1.0))
         gamma = ModelIndicator((0, 1), p=5)
-        v8 = log_unnorm_posterior_g(gamma, d, prior, t_n=5, n_nodes=8).value
-        v128 = log_unnorm_posterior_g(gamma, d, prior, t_n=5, n_nodes=128).value
+        v8 = log_unnorm_posterior_g(gamma, d, prior, t_n=5, n_nodes=8)
+        v128 = log_unnorm_posterior_g(gamma, d, prior, t_n=5, n_nodes=128)
         assert v8 != v128
         with pytest.raises(ValidationError, match="n_nodes"):
             log_unnorm_posterior_g(gamma, d, prior, t_n=5, n_nodes=0)
@@ -317,11 +326,11 @@ class TestGPriorMarginal:
         nodes, weights = np.polynomial.legendre.leggauss(64)
         k_lo, k_hi = math.log(c_lo), math.log(c_hi)
         kappa = 0.5 * (k_hi - k_lo) * nodes + 0.5 * (k_hi + k_lo)
-        for gamma in iter_models(5, 3):
-            per_node = np.array([log_unnorm_posterior(gamma, float(c), d, prior, 5).value
+        for gamma in all_models(5, 3):
+            per_node = np.array([log_unnorm_posterior(gamma, float(c), d, prior, 5)
                                  for c in np.exp(kappa)])
             want = logsumexp(per_node + logpdf(np.exp(kappa)) + kappa, b=weights * 0.5 * (k_hi - k_lo))
-            got = log_unnorm_posterior_g(gamma, d, prior, t_n=5, n_nodes=64).value
+            got = log_unnorm_posterior_g(gamma, d, prior, t_n=5, n_nodes=64)
             assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("c_prior", [GZS(a=1.0, b_n=2.0), GHG(d=1.0, b=2.0)], ids=["gzs", "ghg"])
@@ -329,9 +338,9 @@ class TestGPriorMarginal:
     def test_128_and_256_nodes_agree(self, c_prior, n, p, seed):
         d, _ = make_dataset(n=n, p=p, s=2, seed=seed)
         prior = PriorConfig(nu=6.0, m_n=p, c_prior=c_prior)
-        for gamma in iter_models(p, 3):
-            v128 = log_unnorm_posterior_g(gamma, d, prior, t_n=3, n_nodes=128).value
-            v256 = log_unnorm_posterior_g(gamma, d, prior, t_n=3, n_nodes=256).value
+        for gamma in all_models(p, 3):
+            v128 = log_unnorm_posterior_g(gamma, d, prior, t_n=3, n_nodes=128)
+            v256 = log_unnorm_posterior_g(gamma, d, prior, t_n=3, n_nodes=256)
             assert v128 == pytest.approx(v256, abs=1e-10)
 
     def test_improper_priors_rejected(self):
@@ -348,18 +357,49 @@ class TestGPriorMarginal:
         assert log_unnorm_posterior_g(ModelIndicator((0, 1), p=3), d, prior, t_n=1) is None
 
 
-class TestMapModel:
-    def test_tie_break_smaller_then_lexicographic(self):
-        g_small = ModelIndicator((0,), p=4)
-        g_big = ModelIndicator((0, 1), p=4)
-        g_lex = ModelIndicator((1,), p=4)
-        assert map_model([LogScore(1.0, g_big), LogScore(1.0, g_small)]) == g_small
-        assert map_model([LogScore(1.0, g_lex), LogScore(1.0, g_small)]) == g_small
-        assert map_model([LogScore(2.0, g_big), LogScore(1.0, g_small), None]) == g_big
+class TestOneOrder:
+    """The enumeration comes in one order: decreasing probability, then
+    smaller size, then lexicographic indices, and nothing re-sorts it."""
 
-    def test_empty_raises(self):
-        with pytest.raises(ValidationError):
-            map_model([None])
+    @pytest.fixture
+    def post(self):
+        # y loads on column 2 alone, which column 6 duplicates: two models
+        # that differ only by 2 <-> 6 score the same bits, so the top pair
+        # ties, and every model without either has probability 0.
+        rngen = np.random.default_rng(4)
+        x = rngen.standard_normal((100, 7))
+        x[:, 6] = x[:, 2]
+        d = Dataset.from_arrays(1e4 * x[:, 2] + rngen.standard_normal(100), x)
+        return enumerate_posterior(d, PriorConfig(m_n=3, c_prior=FixedC(1e8)), 1e8, t_n=3)
+
+    def test_entries_sorted_by_prob_size_indices(self, post):
+        assert len(post.entries) == model_space_size(7, 3)
+        keyed = sorted(zip(post.entries, post.probs.tolist()), key=lambda e: (-e[1], len(e[0]), e[0]))
+        assert list(post.entries) == [g for g, _ in keyed]
+        assert post.entries[:2] == ((2,), (6,))
+        assert post.probs[0] == post.probs[1] > 0.0
+        zero = [g for g, pr in zip(post.entries, post.probs) if pr == 0.0]
+        assert {len(g) for g in zero} == {0, 1, 2, 3}  # zero-probability ties span sizes
+        assert zero == sorted(zero, key=lambda g: (len(g), g))
+
+    def test_map_model_is_first_entry(self, post):
+        assert post.map_model() == ModelIndicator((2,), p=7)
+
+    def test_write_enumeration_keeps_the_order(self, post, tmp_path):
+        path = tmp_path / "enumeration.csv"
+        io.write_enumeration(path, post)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "gamma,log_score,prob"
+        assert len(lines) == 1 + len(post.entries)
+        for line, g, v, pr in zip(lines[1:], post.entries, post.log_scores, post.probs):
+            label, score, prob = line.split(",")
+            assert ModelIndicator.from_label(label, p=7).included == g
+            assert float(score) == v and float(prob) == pr
+
+    def test_negative_tn_rejected(self):
+        d, _ = make_dataset(n=20, p=3, s=1)
+        with pytest.raises(ValidationError, match="t_n"):
+            enumerate_posterior(d, PriorConfig(m_n=3, c_prior=FixedC(5.0)), 5.0, t_n=-1)
 
 
 class TestSparseRiesz:

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy.special import ndtri
 
 from bayes_screen.data import Dataset, ModelIndicator, ValidationError, derive_ground_truth
@@ -11,31 +10,11 @@ from bayes_screen.inference import (
     credible_intervals,
     f_eta,
     fcr,
-    normal_quantile,
     RunRecord,
     summarize_run,
 )
 
 from conftest import make_dataset
-
-
-class TestNormalQuantile:
-    def test_matches_scipy_on_grid(self):
-        for prob in np.linspace(1e-9, 1 - 1e-9, 4001):
-            assert abs(normal_quantile(prob) - ndtri(prob)) < 1e-10
-
-    @given(st.floats(min_value=1e-12, max_value=1 - 1e-12))
-    def test_matches_scipy_property(self, prob):
-        assert abs(normal_quantile(prob) - ndtri(prob)) < 1e-9
-
-    def test_symmetry(self):
-        assert normal_quantile(0.5) == pytest.approx(0.0, abs=1e-15)
-        assert normal_quantile(0.975) == pytest.approx(-normal_quantile(0.025), abs=1e-12)
-
-    def test_domain(self):
-        for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValidationError):
-                normal_quantile(bad)
 
 
 def orthonormal_dataset(n=16, k=3, seed=0):
@@ -51,7 +30,7 @@ class TestCredibleIntervals:
         gamma = ModelIndicator((0, 1, 2), p=3)
         cis = credible_intervals(gamma, c=1.0, sigma_sq=2.0, d=d, alpha=0.05)
         # U = 2I: centers X'Y/2, sigma_j^2 = 2/2 = 1
-        z = normal_quantile(0.975)
+        z = ndtri(0.975)
         want_centers = q.T @ y / 2.0
         for (j, center, hw), want in zip(cis.entries, want_centers):
             assert center == pytest.approx(want, rel=1e-12)
@@ -66,7 +45,7 @@ class TestCredibleIntervals:
         u = xg.T @ xg + np.eye(10) / c
         uinv = np.linalg.inv(u)
         xi = uinv @ xg.T @ d.y
-        z = normal_quantile(0.95)
+        z = ndtri(0.95)
         for (j, center, hw), want_c, want_v in zip(cis.entries, xi, np.diag(uinv)):
             assert center == pytest.approx(want_c, rel=1e-10)
             assert hw == pytest.approx(z * np.sqrt(s2 * want_v), rel=1e-10)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bayes_screen import io
-from bayes_screen.data import ModelIndicator, ValidationError, derive_ground_truth
+from bayes_screen.data import ValidationError, derive_ground_truth
+from bayes_screen.exact import EnumeratedPosterior
 from bayes_screen.gibbs import ChainConfig, run_chain
 
 from conftest import fixed_prior, make_dataset
@@ -59,16 +60,12 @@ class TestChainOutputFiles:
         assert (tmp_path / "beta_c0.csv").exists()
 
     def test_enumeration_format(self, tmp_path):
-        g0 = ModelIndicator((), p=3)
-        g1 = ModelIndicator((0,), p=3)
-        entries = {g0: 0.25, g1: 0.75}
-        scores = {g0: -3.0, g1: -2.0}
+        post = EnumeratedPosterior(entries=((0,), ()), log_scores=np.array([-2.0, -3.0]),
+                                   probs=np.array([0.75, 0.25]), t_n=1, c=1.0, p=3)
         path = tmp_path / "enum.csv"
-        io.write_enumeration(path, entries, scores)
+        io.write_enumeration(path, post)
         lines = path.read_text().splitlines()
-        assert lines[0] == "gamma,log_score,prob"
-        assert lines[1].startswith("1,")  # highest probability first
-        assert lines[2].startswith(",")  # null model labeled by empty string
+        assert lines == ["gamma,log_score,prob", "1,-2.0,0.75", ",-3.0,0.25"]  # null model labeled by empty string
 
     def test_meta_json(self, tmp_path):
         path = tmp_path / "meta.json"
