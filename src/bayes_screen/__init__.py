@@ -10,12 +10,13 @@ from .data import (
     Dataset,
     FixedC,
     GroundTruth,
-    ModelIndicator,
     Precomputed,
     PriorConfig,
     SamplerState,
     ValidationError,
+    check_model,
     derive_ground_truth,
+    model_label,
     validate_dataset,
 )
 from .exact import (

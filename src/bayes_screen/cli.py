@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, diagnostics, hyperc, io
-from .data import GHG, GZS, FixedC, PriorConfig, ValidationError
+from .data import GHG, GZS, FixedC, PriorConfig, ValidationError, model_label
 from .exact import check_sparse_riesz, enumerate_posterior
 # perfbench/tracing.py wraps cli.log_unnorm_posterior, so the name stays here
 from .exact import log_unnorm_posterior  # noqa: F401
@@ -248,12 +248,12 @@ def cmd_fit(args) -> int:
     io.write_meta(outdir / "meta.json", resolved_config(args), args.seed)
 
     map_gamma = merged.modal_model()
-    print(f"MAP model: {{{map_gamma.label()}}} "
+    print(f"MAP model: {{{model_label(map_gamma)}}} "
           f"(visit frequency {merged.visit_frequency(map_gamma):.4f})")
-    top = sorted(merged.model_counts.items(), key=lambda kv: (-kv[1], kv[0].included))[:10]
+    top = sorted(merged.model_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
     print("top models (gamma: frequency):")
     for gamma, cnt in top:
-        print(f"  {gamma.label() or '(null)'}: {cnt / merged.n_kept:.4f}")
+        print(f"  {model_label(gamma) or '(null)'}: {cnt / merged.n_kept:.4f}")
     if len(map_gamma) > 0:
         cis = credible_intervals(
             map_gamma,
@@ -287,7 +287,7 @@ def cmd_exact(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     io.write_enumeration(outdir / "enumeration.csv", post)
     io.write_meta(outdir / "meta.json", resolved_config(args), args.seed)
-    print(f"enumerated {len(post.entries)} models; MAP = {{{post.map_model().label() or 'null'}}} "
+    print(f"enumerated {len(post.entries)} models; MAP = {{{model_label(post.entries[0]) or 'null'}}} "
           f"prob {post.probs[0]:.4f}")
     return EXIT_OK
 
@@ -309,6 +309,8 @@ def _replicate_one(payload):
 
 def cmd_replicate(args) -> int:
     check_alpha(args.alpha)
+    if args.reps < 1 or args.threads < 1:
+        raise ValidationError(f"--reps and --threads must be >= 1, got {args.reps} and {args.threads}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     spec = generator_spec(args)
@@ -334,7 +336,7 @@ def cmd_replicate(args) -> int:
             else None
         )
         lines.append(
-            f"{rep},{record.selected.label()},{record.freq_true!r},"
+            f"{rep},{model_label(record.selected)},{record.freq_true!r},"
             f"{io.format_float(record.fcr)},{io.format_float(mean_len)},"
             f"{record.size},{io.format_float(record.err)}"
         )

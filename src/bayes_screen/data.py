@@ -1,8 +1,9 @@
 """Domain types shared by the selection, sampling and inference code.
 
-Indices are 0-based everywhere inside the package; conversion to the
-1-based labels used in files and on the command line happens only in
-:mod:`bayes_screen.io` and the CLI.
+A model is a sorted tuple of distinct 0-based column indices, everywhere
+inside the package; :func:`check_model` validates one that comes in from a
+caller. Conversion to the 1-based labels used in files and on the command
+line (:func:`model_label`) happens only in :mod:`bayes_screen.io` and the CLI.
 """
 
 from __future__ import annotations
@@ -23,55 +24,15 @@ def model_label(included) -> str:
     return "+".join(str(j + 1) for j in included)
 
 
-@dataclass(frozen=True)
-class ModelIndicator:
-    """A candidate model: the set of included column indices.
-
-    ``included`` is a sorted tuple of distinct 0-based indices in [0, p).
-    """
-
-    included: tuple
-    p: int
-
-    def __post_init__(self):
-        idx = tuple(sorted(int(j) for j in self.included))
-        if len(set(idx)) != len(idx):
-            raise ValidationError("duplicate indices in model indicator")
-        if idx and (idx[0] < 0 or idx[-1] >= self.p):
-            raise ValidationError(f"index out of range [0, {self.p})")
-        object.__setattr__(self, "included", idx)
-
-    def __len__(self):
-        return len(self.included)
-
-    def __contains__(self, j):
-        return j in self.included
-
-    def __iter__(self):
-        return iter(self.included)
-
-    def __hash__(self):
-        return hash((self.included, self.p))
-
-    @classmethod
-    def from_mask(cls, mask) -> "ModelIndicator":
-        mask = np.asarray(mask)
-        return cls(tuple(np.flatnonzero(mask)), p=mask.shape[0])
-
-    def to_mask(self) -> np.ndarray:
-        mask = np.zeros(self.p, dtype=bool)
-        if self.included:
-            mask[list(self.included)] = True
-        return mask
-
-    def label(self) -> str:
-        return model_label(self.included)
-
-    @classmethod
-    def from_label(cls, label: str, p: int) -> "ModelIndicator":
-        if label.strip() == "":
-            return cls((), p=p)
-        return cls(tuple(int(tok) - 1 for tok in label.split("+")), p=p)
+def check_model(indices, p: int) -> tuple:
+    """A model given from outside the package, as the package holds every
+    model: a sorted tuple of distinct 0-based Python ints in [0, p)."""
+    idx = tuple(sorted(int(j) for j in indices))
+    if len(set(idx)) != len(idx):
+        raise ValidationError("duplicate indices in model")
+    if idx and (idx[0] < 0 or idx[-1] >= p):
+        raise ValidationError(f"index out of range [0, {p})")
+    return idx
 
 
 @dataclass(frozen=True)
@@ -120,7 +81,7 @@ class GroundTruth:
     """True coefficients and derived summaries used by the experiment metrics."""
 
     beta0: np.ndarray
-    gamma0: ModelIndicator
+    gamma0: tuple
     s_n: int
     sigma0_sq: float
     k_n: float
@@ -139,7 +100,7 @@ def derive_ground_truth(beta0, sigma0_sq: float) -> GroundTruth:
     if sigma0_sq <= 0:
         raise ValidationError("sigma0_sq must be positive")
     support = np.flatnonzero(beta0)
-    gamma0 = ModelIndicator(tuple(support), p=beta0.shape[0])
+    gamma0 = tuple(support.tolist())
     s_n = len(gamma0)
     if s_n == 0:
         warnings.warn("true model empty (all-zero beta0)", stacklevel=2)
@@ -180,7 +141,7 @@ class GZS:
     b_n: float = 3.0
 
     def __post_init__(self):
-        if self.a < 0 or self.b_n <= 0:
+        if not (self.a >= 0 and self.b_n > 0):  # NaN fails too
             raise ValidationError("GZS requires a >= 0 and b_n > 0")
 
     def log_scale(self, p: int) -> float:
@@ -200,7 +161,7 @@ class GHG:
     b: float = 0.0
 
     def __post_init__(self):
-        if self.d <= 0 or self.b < 0:
+        if not (self.d > 0 and self.b >= 0):  # NaN fails too
             raise ValidationError("GHG requires d > 0 and b >= 0")
 
     def alpha_n(self, p: int) -> float:
@@ -223,7 +184,7 @@ class PriorConfig:
     c_prior: object = FixedC(1.0)
 
     def __post_init__(self):
-        if self.nu <= 0:
+        if not self.nu > 0:  # NaN fails too
             raise ValidationError("nu must be positive")
         if self.m_n < 1:
             raise ValidationError("m_n must be >= 1")
@@ -260,8 +221,8 @@ class SamplerState:
         return int(np.count_nonzero(self.gamma_mask))
 
     @property
-    def gamma(self) -> ModelIndicator:
-        return ModelIndicator(tuple(np.flatnonzero(self.gamma_mask)), p=self.beta.shape[0])
+    def gamma(self) -> tuple:
+        return tuple(np.flatnonzero(self.gamma_mask).tolist())
 
     def copy(self) -> "SamplerState":
         return SamplerState(

@@ -1,12 +1,13 @@
 """Exact log-domain posterior model scores and the full-enumeration oracle.
 
-All scores are natural-log unnormalized posterior masses. Models larger
-than the size cap carry no score (represented as ``None``), never as -inf
-arithmetic.
+All scores are natural-log unnormalized posterior masses. A model is a
+sorted tuple of 0-based column indices. Models larger than the size cap
+carry no score (represented as ``None``), never as -inf arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import logsumexp
 
-from .data import GHG, GZS, Dataset, ModelIndicator, Precomputed, PriorConfig, ValidationError
+from .data import GHG, GZS, Dataset, Precomputed, PriorConfig, ValidationError, check_model
 
 ENUMERATION_GUARD = 10**6
 CHUNK_BYTES = 2**20  # model columns per stacked call; bounds each chunk's working set
@@ -31,17 +32,13 @@ class EnumeratedPosterior:
     order: decreasing probability, then smaller size, then lexicographic
     index order. ``entries`` holds each model's 0-based index tuple;
     ``log_scores`` (the value ``log_unnorm_posterior`` returns) and
-    ``probs`` are aligned with it."""
+    ``probs`` are aligned with it, and ``entries[0]`` is the MAP model."""
 
     entries: tuple
     log_scores: np.ndarray
     probs: np.ndarray
     t_n: int
     c: float
-    p: int
-
-    def map_model(self) -> ModelIndicator:
-        return ModelIndicator(self.entries[0], p=self.p)
 
 
 def _chol_factor(u: np.ndarray):
@@ -110,7 +107,7 @@ def _score_given_c(combos: np.ndarray, c: float, d: Dataset, pre: Precomputed, n
 
 
 def log_unnorm_posterior(
-    gamma: ModelIndicator,
+    gamma,
     c: float,
     d: Dataset,
     prior: PriorConfig,
@@ -123,11 +120,12 @@ def log_unnorm_posterior(
     """
     if c <= 0:
         raise ValidationError("c must be positive")
+    gamma = check_model(gamma, d.p)
     if len(gamma) > t_n:
         return None
     if pre is None:
         pre = Precomputed.from_dataset(d)
-    combos = np.array(gamma.included, dtype=np.intp).reshape(1, len(gamma))
+    combos = np.array([gamma], dtype=np.intp)  # shape (1, k), (1, 0) for the null model
     return float(_score_given_c(combos, c, d, pre, prior.nu)[0])
 
 
@@ -175,7 +173,6 @@ def enumerate_posterior(d: Dataset, prior: PriorConfig, c: float, t_n: int) -> E
         probs=probs[order],
         t_n=t_n,
         c=c,
-        p=d.p,
     )
 
 
@@ -185,21 +182,32 @@ def enumerate_posterior_with_tn_prior(d: Dataset, prior: PriorConfig, c: float) 
     The joint over (gamma, t_n) puts mass q(gamma) on every t_n in
     [max(|gamma|, 1), m_n], so the gamma marginal weights each model score
     by the number of admissible t_n values. This is the stationary
-    gamma-marginal of the sampler with Fixed(c). Keyed by ModelIndicator,
-    in enumeration order.
+    gamma-marginal of the sampler with Fixed(c). Keyed by index tuple, in
+    enumeration order.
     """
     m_n = prior.m_n
     models, scores = _enumerate_scores(d, prior.nu, c, m_n)
     n_tn = np.array([m_n - max(len(g), 1) + 1 for g in models])
     scores = scores + np.log(n_tn)
     probs = np.exp(scores - logsumexp(scores))
-    return {ModelIndicator(g, p=d.p): pr for g, pr in zip(models, probs)}
+    return dict(zip(models, probs))
 
 
 # --- g-prior marginal via quadrature -----------------------------------------
 
+@functools.cache
+def _leggauss(n_nodes: int):
+    """Gauss-Legendre nodes and weights, computed once per n_nodes and
+    read-only because every call shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+@functools.cache
 def _c_prior_logpdf_and_bounds(c_prior, p: int):
-    """Log-density of g(c) and quantile-based integration bounds in c."""
+    """Log-density of g(c) and quantile-based integration bounds in c,
+    computed once per (prior, p): both prior classes are frozen."""
     if isinstance(c_prior, GZS):
         if c_prior.a <= 0:
             raise ValidationError("quadrature requires proper g-prior (GZS a > 0)")
@@ -233,7 +241,7 @@ def _c_prior_logpdf_and_bounds(c_prior, p: int):
 
 
 def log_unnorm_posterior_g(
-    gamma: ModelIndicator,
+    gamma,
     d: Dataset,
     prior: PriorConfig,
     t_n: int,
@@ -247,11 +255,12 @@ def log_unnorm_posterior_g(
     """
     if n_nodes < 1:
         raise ValidationError("n_nodes must be >= 1")
+    gamma = check_model(gamma, d.p)
     if len(gamma) > t_n:
         return None
     logpdf, c_lo, c_hi = _c_prior_logpdf_and_bounds(prior.c_prior, d.p)
     pre = Precomputed.from_dataset(d)
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = _leggauss(n_nodes)
     k_lo, k_hi = math.log(c_lo), math.log(c_hi)
     kappa = 0.5 * (k_hi - k_lo) * nodes + 0.5 * (k_hi + k_lo)
     c_vals = np.exp(kappa)
@@ -260,7 +269,7 @@ def log_unnorm_posterior_g(
     k = len(gamma)
     lam, a = np.zeros(0), np.zeros(0)
     if k:
-        xg = d.x[:, list(gamma.included)]
+        xg = d.x[:, list(gamma)]
         lam, vecs = np.linalg.eigh(xg.T @ xg)
         lam = np.maximum(lam, 0.0)  # X_g'X_g is semi-definite; drop rounding below 0
         a = vecs.T @ (xg.T @ d.y)

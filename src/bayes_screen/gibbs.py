@@ -21,11 +21,11 @@ from .data import (
     GZS,
     Dataset,
     FixedC,
-    ModelIndicator,
     Precomputed,
     PriorConfig,
     SamplerState,
     ValidationError,
+    check_model,
     validate_dataset,
 )
 from .kernel import sweep_blocks
@@ -64,7 +64,8 @@ class ChainConfig:
 
 @dataclass
 class ChainOutput:
-    """Recorded draws and visit counts from one chain."""
+    """Recorded draws and visit counts from one chain. ``model_counts`` is
+    keyed by model: a sorted tuple of 0-based column indices."""
 
     model_counts: dict
     sigma_sq_draws: np.ndarray
@@ -77,15 +78,15 @@ class ChainOutput:
     p: int
     n_kept: int
 
-    def modal_model(self) -> ModelIndicator:
+    def modal_model(self) -> tuple:
         """Most-visited model; ties broken by smaller size then lexicographic."""
         return min(
             self.model_counts.items(),
-            key=lambda kv: (-kv[1], len(kv[0]), kv[0].included),
+            key=lambda kv: (-kv[1], len(kv[0]), kv[0]),
         )[0]
 
-    def visit_frequency(self, gamma: ModelIndicator) -> float:
-        return self.model_counts.get(gamma, 0) / self.n_kept
+    def visit_frequency(self, gamma) -> float:
+        return self.model_counts.get(check_model(gamma, self.p), 0) / self.n_kept
 
     def beta_mean(self) -> np.ndarray:
         if self.beta_draws is None:

@@ -22,7 +22,7 @@ class MhTuning:
     sigma_kappa: float = 0.5
 
     def __post_init__(self):
-        if self.sigma_kappa <= 0:
+        if not self.sigma_kappa > 0:  # NaN fails too
             raise ValidationError("sigma_kappa must be positive")
 
 

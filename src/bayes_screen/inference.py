@@ -10,7 +10,7 @@ import numpy as np
 from scipy import linalg
 from scipy.special import ndtri
 
-from .data import Dataset, GroundTruth, ModelIndicator, ValidationError
+from .data import Dataset, GroundTruth, ValidationError, check_model
 from .gibbs import ChainOutput
 
 
@@ -20,7 +20,7 @@ class CredibleIntervalSet:
 
     entries: tuple  # of (j, center, halfwidth), 0-based j
     alpha: float
-    gamma: ModelIndicator
+    gamma: tuple
 
     def lengths(self) -> np.ndarray:
         return np.array([2.0 * hw for _, _, hw in self.entries])
@@ -32,7 +32,7 @@ class CredibleIntervalSet:
 
 
 def credible_intervals(
-    gamma: ModelIndicator,
+    gamma,
     c: float,
     sigma_sq: float,
     d: Dataset,
@@ -43,9 +43,10 @@ def credible_intervals(
     diagonal of sigma^2 U^-1."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must be in (0, 1)")
+    gamma = check_model(gamma, d.p)
     if len(gamma) == 0:
         raise ValidationError("no selected coefficients")
-    idx = list(gamma.included)
+    idx = list(gamma)
     xg = d.x[:, idx]
     k = len(idx)
     u = xg.T @ xg + (1.0 / c) * np.eye(k)
@@ -85,7 +86,7 @@ def f_eta(replication_freqs, eta: float) -> float:
 class RunRecord:
     """Per-replication summary of one chain output."""
 
-    selected: ModelIndicator
+    selected: tuple
     freq_true: float
     size: int
     err: float | None

@@ -80,8 +80,8 @@ def write_chain_output(outdir, output: ChainOutput, thin: int, label: str = "") 
     outdir.mkdir(parents=True, exist_ok=True)
     suffix = f"_{label}" if label else ""
 
-    rows = sorted(output.model_counts.items(), key=lambda kv: (-kv[1], kv[0].included))
-    lines = ["gamma,count"] + [f"{g.label()},{cnt}" for g, cnt in rows]
+    rows = sorted(output.model_counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    lines = ["gamma,count"] + [f"{model_label(g)},{cnt}" for g, cnt in rows]
     (outdir / f"models{suffix}.csv").write_text("\n".join(lines) + "\n")
 
     lines = ["iter,sigma_sq,c,t_n"]

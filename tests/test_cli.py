@@ -108,6 +108,20 @@ class TestFit:
                         "--alpha", alpha, "--out", str(out)]) == 2
             assert not out.exists()
 
+    @pytest.mark.parametrize("prior", [
+        ["--prior", "ghg", "--sigma-kappa", "nan"],
+        ["--prior", "gzs", "--d", "nan"],
+        ["--prior", "gzs", "--gzs-a", "nan"],
+        ["--prior", "ghg", "--d", "nan"],
+        ["--prior", "ghg", "--ghg-b", "nan"],
+        ["--prior", "fixed", "--c", "5", "--nu", "nan"],
+    ], ids=["sigma-kappa", "gzs-d", "gzs-a", "ghg-d", "ghg-b", "nu"])
+    def test_nan_prior_rejected_before_running(self, tmp_path, small_data, prior):
+        out = tmp_path / "f"
+        assert run(["fit", "--data", small_data, *prior, "--iters", "100", "--burn", "10",
+                    "--out", str(out)]) == 2
+        assert not (out / "models_chain0.csv").exists()
+
     def test_fixed_prior_requires_c(self, tmp_path):
         run(["simulate", "--example", "1", "--n", "20", "--p", "5", "--s", "2",
              "--seed", "7", "--out", str(tmp_path)])
@@ -134,6 +148,14 @@ class TestReplicate:
         lines = (tmp_path / "summary.csv").read_text().splitlines()
         assert lines[0] == "rep,selected_gamma,freq_true,fcr,mean_ci_len,size,err"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("option", [["--reps", "0"], ["--threads", "0"], ["--threads", "-1"]],
+                             ids=["reps-0", "threads-0", "threads-neg"])
+    def test_reps_and_threads_below_one_rejected(self, tmp_path, option):
+        out = tmp_path / "r"
+        assert run(["replicate", "--example", "1", "--n", "20", "--p", "5", "--s", "2",
+                    "--iters", "100", "--burn", "10", *option, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_alpha_rejected_before_running(self, tmp_path):
         out = tmp_path / "r"

@@ -1,56 +1,79 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from bayes_screen.data import (
     GHG,
     GZS,
     Dataset,
     FixedC,
-    ModelIndicator,
     Precomputed,
     PriorConfig,
     SamplerState,
     ValidationError,
+    check_model,
     derive_ground_truth,
+    model_label,
     validate_dataset,
 )
+from bayes_screen.exact import log_unnorm_posterior, log_unnorm_posterior_g
+from bayes_screen.gibbs import ChainOutput
+from bayes_screen.inference import credible_intervals
 
 
 class TestModelIndicator:
+    """The model indicator gamma as the package holds it: a sorted tuple of
+    0-based indices, checked by ``check_model`` and labelled by ``model_label``."""
+
     def test_sorts_indices(self):
-        g = ModelIndicator((3, 1, 2), p=5)
-        assert g.included == (1, 2, 3)
-        assert len(g) == 3
-        assert 2 in g and 0 not in g
+        g = check_model(np.array([3, 1, 2]), p=5)
+        assert g == (1, 2, 3)
+        assert all(type(j) is int for j in g)
 
     def test_rejects_duplicates(self):
-        with pytest.raises(ValidationError):
-            ModelIndicator((1, 1), p=5)
+        with pytest.raises(ValidationError, match="duplicate"):
+            check_model((1, 1), p=5)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValidationError):
-            ModelIndicator((5,), p=5)
-        with pytest.raises(ValidationError):
-            ModelIndicator((-1,), p=5)
+        with pytest.raises(ValidationError, match="out of range"):
+            check_model((5,), p=5)
+        with pytest.raises(ValidationError, match="out of range"):
+            check_model((-1,), p=5)
 
     def test_label_is_one_based(self):
-        assert ModelIndicator((0, 4), p=5).label() == "1+5"
-        assert ModelIndicator((), p=5).label() == ""
+        assert model_label((0, 4)) == "1+5"
+        assert model_label(()) == ""
 
-    def test_label_roundtrip(self):
-        g = ModelIndicator((0, 2, 4), p=6)
-        assert ModelIndicator.from_label(g.label(), p=6) == g
-        assert ModelIndicator.from_label("", p=6) == ModelIndicator((), p=6)
 
-    @given(st.lists(st.integers(0, 19), max_size=10, unique=True))
-    def test_mask_roundtrip(self, idx):
-        g = ModelIndicator(tuple(idx), p=20)
-        assert ModelIndicator.from_mask(g.to_mask()) == g
+def public_model_callers():
+    """Each public function that takes a model from its caller, as a
+    function of that model on a p = 5 dataset."""
+    d = Dataset.from_arrays(np.arange(6.0), np.random.default_rng(1).standard_normal((6, 5)))
+    prior = PriorConfig(m_n=3, c_prior=GZS(a=1.0, b_n=1.0))
+    out = ChainOutput(model_counts={(1, 3): 3, (): 1}, sigma_sq_draws=np.ones(4), c_draws=np.ones(4),
+                      t_n_draws=np.ones(4, dtype=np.int64), beta_draws=None, mh_accept_rate=None,
+                      c_update_skips=0, seed=0, p=5, n_kept=4)
+    return {
+        "log_unnorm_posterior": lambda g: log_unnorm_posterior(g, 2.0, d, prior, t_n=3),
+        "log_unnorm_posterior_g": lambda g: log_unnorm_posterior_g(g, d, prior, t_n=3, n_nodes=16),
+        "credible_intervals": lambda g: credible_intervals(g, 2.0, 1.0, d, 0.05).entries,
+        "visit_frequency": out.visit_frequency,
+    }
 
-    def test_hash_equality(self):
-        assert hash(ModelIndicator((2, 1), p=4)) == hash(ModelIndicator((1, 2), p=4))
-        assert ModelIndicator((1,), p=4) != ModelIndicator((1,), p=5)
+
+@pytest.mark.parametrize("name", sorted(public_model_callers()))
+class TestModelCallers:
+    def test_unsorted_model_is_sorted(self, name):
+        call = public_model_callers()[name]
+        assert call((3, 1)) == call((1, 3))
+
+    def test_duplicates_rejected(self, name):
+        with pytest.raises(ValidationError, match="duplicate"):
+            public_model_callers()[name]((1, 1))
+
+    @pytest.mark.parametrize("gamma", [(5,), (-1,), (0, 7)])
+    def test_out_of_range_rejected(self, name, gamma):
+        with pytest.raises(ValidationError, match="out of range"):
+            public_model_callers()[name](gamma)
 
 
 class TestDataset:
@@ -77,7 +100,8 @@ class TestDataset:
 class TestGroundTruth:
     def test_derived_fields(self):
         t = derive_ground_truth([0.0, 3.0, -0.5, 0.0], 2.0)
-        assert t.gamma0.included == (1, 2)
+        assert t.gamma0 == (1, 2)
+        assert all(type(j) is int for j in t.gamma0)
         assert t.s_n == 2
         assert t.k_n == pytest.approx(9.25)
         assert t.psi_n == pytest.approx(0.5)
@@ -115,6 +139,17 @@ class TestPriors:
 
     def test_ghg_alpha_n(self):
         assert GHG(d=2.0).alpha_n(10) == pytest.approx(101.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: GZS(a=float("nan")),
+        lambda: GZS(b_n=float("nan")),
+        lambda: GHG(d=float("nan")),
+        lambda: GHG(b=float("nan")),
+        lambda: PriorConfig(nu=float("nan")),
+    ], ids=["gzs-a", "gzs-b_n", "ghg-d", "ghg-b", "nu"])
+    def test_nan_rejected(self, make):
+        with pytest.raises(ValidationError):
+            make()
 
     def test_prior_config_bounds(self):
         with pytest.raises(ValidationError):
@@ -160,6 +195,15 @@ class TestSamplerState:
         s.residual += 1.0
         with pytest.raises(AssertionError, match="drifted"):
             s.check_invariants(d, m_n=1)
+
+    def test_gamma_is_sorted_tuple_of_python_ints(self):
+        d = Dataset.from_arrays(np.ones(5), np.eye(5))
+        s = SamplerState(beta=np.zeros(5), gamma_mask=np.array([0, 1, 0, 1, 1], dtype=np.uint8),
+                         sigma_sq=1.0, t_n=3, c=1.0, residual=d.y.copy())
+        assert s.gamma == (1, 3, 4)
+        assert all(type(j) is int for j in s.gamma)
+        s.gamma_mask[:] = 0
+        assert s.gamma == ()
 
     def test_copy_is_deep(self):
         d = Dataset.from_arrays(np.ones(3), np.eye(3))

@@ -11,10 +11,10 @@ from bayes_screen.data import (
     GZS,
     Dataset,
     FixedC,
-    ModelIndicator,
     Precomputed,
     PriorConfig,
     ValidationError,
+    model_label,
 )
 from bayes_screen import exact, io
 from bayes_screen.exact import (
@@ -32,8 +32,7 @@ from conftest import make_dataset
 
 def all_models(p, t_n):
     for k in range(t_n + 1):
-        for combo in itertools.combinations(range(p), k):
-            yield ModelIndicator(combo, p=p)
+        yield from itertools.combinations(range(p), k)
 
 
 def by_model(post, values):
@@ -61,9 +60,9 @@ class TestFixedCScore:
         # y = (1,0,0), one column (1,0,0), c = 1, nu = 6
         d = Dataset.from_arrays([1.0, 0.0, 0.0], [[1.0], [0.0], [0.0]])
         prior = PriorConfig(nu=6.0, m_n=1, c_prior=FixedC(1.0))
-        null = log_unnorm_posterior(ModelIndicator((), p=1), 1.0, d, prior, t_n=1)
+        null = log_unnorm_posterior((), 1.0, d, prior, t_n=1)
         assert null == pytest.approx(-4.5 * math.log(2.0), rel=1e-14)
-        one = log_unnorm_posterior(ModelIndicator((0,), p=1), 1.0, d, prior, t_n=1)
+        one = log_unnorm_posterior((0,), 1.0, d, prior, t_n=1)
         expected = -0.5 * math.log(2.0) - 4.5 * math.log(1.5)
         assert one == pytest.approx(expected, rel=1e-14)
 
@@ -73,7 +72,7 @@ class TestFixedCScore:
         rngen = np.random.default_rng(9)
         for _ in range(20):
             k = int(rngen.integers(0, 6))
-            gamma = ModelIndicator(tuple(rngen.choice(8, size=k, replace=False)), p=8)
+            gamma = tuple(sorted(rngen.choice(8, size=k, replace=False).tolist()))
             got = log_unnorm_posterior(gamma, 25.0, d, prior, t_n=8)
             want = direct_score(gamma, 25.0, d, prior.nu)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
@@ -81,13 +80,13 @@ class TestFixedCScore:
     def test_none_above_size_cap(self):
         d, _ = make_dataset(p=5)
         prior = PriorConfig(m_n=5, c_prior=FixedC(10.0))
-        assert log_unnorm_posterior(ModelIndicator((0, 1, 2), p=5), 10.0, d, prior, t_n=2) is None
+        assert log_unnorm_posterior((0, 1, 2), 10.0, d, prior, t_n=2) is None
 
     def test_rejects_nonpositive_c(self):
         d, _ = make_dataset(p=3)
         prior = PriorConfig(m_n=3, c_prior=FixedC(1.0))
         with pytest.raises(ValidationError):
-            log_unnorm_posterior(ModelIndicator((), p=3), 0.0, d, prior, t_n=2)
+            log_unnorm_posterior((), 0.0, d, prior, t_n=2)
 
 
 class TestEnumeration:
@@ -109,7 +108,7 @@ class TestEnumeration:
         s2 = direct_score((0,), 30.0, d, prior.nu)
         assert math.log(probs[(0, 1)] / probs[(0,)]) == pytest.approx(s1 - s2, abs=1e-9)
         for g, v in zip(post.entries, post.log_scores):
-            assert v == log_unnorm_posterior(ModelIndicator(g, p=5), 30.0, d, prior, 3)
+            assert v == log_unnorm_posterior(g, 30.0, d, prior, 3)
 
     def test_enumeration_guard(self):
         d, _ = make_dataset(n=20, p=60, s=2)
@@ -125,9 +124,8 @@ class TestEnumeration:
         scores, gammas = [], []
         for k in range(0, m_n + 1):
             for combo in itertools.combinations(range(3), k):
-                g = ModelIndicator(combo, p=3)
-                gammas.append(g)
-                scores.append(direct_score(g, 20.0, d, prior.nu)
+                gammas.append(combo)
+                scores.append(direct_score(combo, 20.0, d, prior.nu)
                               + math.log(m_n - max(k, 1) + 1))
         probs = np.exp(scores - logsumexp(scores))
         for g, pr in zip(gammas, probs):
@@ -192,7 +190,7 @@ class TestBatchedScorer:
         post = enumerate_posterior(d, prior, c, t_n=2)
         pair = (0, 1)
         for g, v in zip(post.entries, post.log_scores):
-            assert v == log_unnorm_posterior(ModelIndicator(g, p=5), c, d, prior, 2)
+            assert v == log_unnorm_posterior(g, c, d, prior, 2)
             if g != pair:
                 assert v == pytest.approx(direct_score(g, c, d, prior.nu), rel=1e-12)
         # The retry factors U + j I with j = 1e-10 trace(U) / 2 = 1e-8. Its
@@ -238,7 +236,7 @@ class TestBatchedScorer:
         assert np.array_equal(post.log_scores, whole.log_scores)
         assert np.array_equal(post.probs, whole.probs)
         for g, v in zip(post.entries, post.log_scores):
-            assert v == log_unnorm_posterior(ModelIndicator(g, p=7), 15.0, d, prior, 4)
+            assert v == log_unnorm_posterior(g, 15.0, d, prior, 4)
 
     def test_tn_marginal_is_reweighted_enumeration(self):
         d, _ = make_dataset(n=25, p=6, s=2, seed=8)
@@ -249,13 +247,13 @@ class TestBatchedScorer:
         norm = logsumexp(list(weighted.values()))
         assert list(got) == list(all_models(6, 3))  # enumeration order
         for g, v in weighted.items():
-            assert got[ModelIndicator(g, p=6)] == pytest.approx(math.exp(v - norm), rel=1e-12)
+            assert got[g] == pytest.approx(math.exp(v - norm), rel=1e-12)
 
     def test_null_model_and_empty_sizes_skip_lapack(self, monkeypatch):
         guard_zero_size_lapack(monkeypatch)
         d, _ = make_dataset(n=20, p=3, s=1, seed=2)
         prior = PriorConfig(nu=6.0, m_n=5, c_prior=GZS(a=1.0, b_n=2.0))
-        null = ModelIndicator((), p=3)
+        null = ()
         want = -0.5 * (d.n + prior.nu) * math.log1p(float(d.y @ d.y))
         assert log_unnorm_posterior(null, 7.0, d, prior, 5) == want
         post = enumerate_posterior(d, prior, 7.0, t_n=5)  # sizes 4 and 5 are empty
@@ -282,7 +280,7 @@ class TestGPriorMarginal:
     def test_gzs_matches_monte_carlo(self):
         d, _ = make_dataset(n=25, p=4, s=1, seed=3)
         prior = PriorConfig(nu=6.0, m_n=4, c_prior=GZS(a=1.0, b_n=2.0))
-        gamma = ModelIndicator((0,), p=4)
+        gamma = (0,)
         got = log_unnorm_posterior_g(gamma, d, prior, t_n=4)
         rngen = np.random.default_rng(7)
         c_draws = stats.invgamma(1.0, scale=4.0**2.0).rvs(size=2_000_000, random_state=rngen)
@@ -292,7 +290,7 @@ class TestGPriorMarginal:
     def test_ghg_matches_monte_carlo(self):
         d, _ = make_dataset(n=25, p=4, s=1, seed=3)
         prior = PriorConfig(nu=6.0, m_n=4, c_prior=GHG(d=1.0, b=2.0))
-        gamma = ModelIndicator((0,), p=4)
+        gamma = (0,)
         got = log_unnorm_posterior_g(gamma, d, prior, t_n=4)
         rngen = np.random.default_rng(8)
         s = stats.beta(4.0 + 1.0, 2.0).rvs(size=2_000_000, random_state=rngen)
@@ -303,7 +301,7 @@ class TestGPriorMarginal:
     def test_node_doubling_converged(self):
         d, _ = make_dataset(n=25, p=4, s=2, seed=5)
         prior = PriorConfig(nu=6.0, m_n=4, c_prior=GZS(a=2.0, b_n=2.0))
-        gamma = ModelIndicator((0, 1), p=4)
+        gamma = (0, 1)
         v128 = log_unnorm_posterior_g(gamma, d, prior, t_n=4, n_nodes=128)
         v512 = log_unnorm_posterior_g(gamma, d, prior, t_n=4, n_nodes=512)
         assert v128 == pytest.approx(v512, abs=1e-8)
@@ -311,7 +309,7 @@ class TestGPriorMarginal:
     def test_n_nodes_honoured(self):
         d, _ = make_dataset(n=30, p=5, s=2, seed=5)
         prior = PriorConfig(nu=6.0, m_n=5, c_prior=GHG(d=1.0, b=1.0))
-        gamma = ModelIndicator((0, 1), p=5)
+        gamma = (0, 1)
         v8 = log_unnorm_posterior_g(gamma, d, prior, t_n=5, n_nodes=8)
         v128 = log_unnorm_posterior_g(gamma, d, prior, t_n=5, n_nodes=128)
         assert v8 != v128
@@ -345,7 +343,7 @@ class TestGPriorMarginal:
 
     def test_improper_priors_rejected(self):
         d, _ = make_dataset(n=20, p=3, s=1)
-        gamma = ModelIndicator((0,), p=3)
+        gamma = (0,)
         for cp in (GZS(a=0.0, b_n=3.0), GHG(d=1.0, b=0.0)):
             prior = PriorConfig(m_n=3, c_prior=cp)
             with pytest.raises(ValidationError, match="proper"):
@@ -354,7 +352,7 @@ class TestGPriorMarginal:
     def test_none_above_cap(self):
         d, _ = make_dataset(n=20, p=3, s=1)
         prior = PriorConfig(m_n=3, c_prior=GZS(a=1.0, b_n=2.0))
-        assert log_unnorm_posterior_g(ModelIndicator((0, 1), p=3), d, prior, t_n=1) is None
+        assert log_unnorm_posterior_g((0, 1), d, prior, t_n=1) is None
 
 
 class TestOneOrder:
@@ -382,9 +380,6 @@ class TestOneOrder:
         assert {len(g) for g in zero} == {0, 1, 2, 3}  # zero-probability ties span sizes
         assert zero == sorted(zero, key=lambda g: (len(g), g))
 
-    def test_map_model_is_first_entry(self, post):
-        assert post.map_model() == ModelIndicator((2,), p=7)
-
     def test_write_enumeration_keeps_the_order(self, post, tmp_path):
         path = tmp_path / "enumeration.csv"
         io.write_enumeration(path, post)
@@ -393,7 +388,7 @@ class TestOneOrder:
         assert len(lines) == 1 + len(post.entries)
         for line, g, v, pr in zip(lines[1:], post.entries, post.log_scores, post.probs):
             label, score, prob = line.split(",")
-            assert ModelIndicator.from_label(label, p=7).included == g
+            assert label == model_label(g)
             assert float(score) == v and float(prob) == pr
 
     def test_negative_tn_rejected(self):

@@ -11,7 +11,6 @@ from bayes_screen.data import (
     GZS,
     Dataset,
     FixedC,
-    ModelIndicator,
     Precomputed,
     PriorConfig,
     SamplerState,

@@ -147,3 +147,5 @@ class TestGhgMh:
     def test_tuning_validation(self):
         with pytest.raises(ValidationError):
             MhTuning(sigma_kappa=0.0)
+        with pytest.raises(ValidationError):
+            MhTuning(sigma_kappa=float("nan"))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from bayes_screen.data import Dataset, ModelIndicator, ValidationError, derive_ground_truth
+from bayes_screen.data import Dataset, ValidationError, derive_ground_truth
 from bayes_screen.gibbs import ChainOutput
 from bayes_screen.inference import (
     CredibleIntervalSet,
@@ -27,7 +27,7 @@ def orthonormal_dataset(n=16, k=3, seed=0):
 class TestCredibleIntervals:
     def test_orthonormal_algebra(self):
         d, q, y = orthonormal_dataset()
-        gamma = ModelIndicator((0, 1, 2), p=3)
+        gamma = (0, 1, 2)
         cis = credible_intervals(gamma, c=1.0, sigma_sq=2.0, d=d, alpha=0.05)
         # U = 2I: centers X'Y/2, sigma_j^2 = 2/2 = 1
         z = ndtri(0.975)
@@ -38,7 +38,7 @@ class TestCredibleIntervals:
 
     def test_dense_inverse_oracle(self):
         d, _ = make_dataset(n=50, p=12, s=4, seed=3)
-        gamma = ModelIndicator(tuple(range(10)), p=12)
+        gamma = tuple(range(10))
         c, s2 = 17.0, 1.7
         cis = credible_intervals(gamma, c=c, sigma_sq=s2, d=d, alpha=0.1)
         xg = d.x[:, :10]
@@ -52,7 +52,7 @@ class TestCredibleIntervals:
 
     def test_halfwidths_scale_with_sigma(self):
         d, _ = make_dataset(n=30, p=5, s=2, seed=4)
-        gamma = ModelIndicator((0, 1), p=5)
+        gamma = (0, 1)
         a = credible_intervals(gamma, c=10.0, sigma_sq=1.0, d=d, alpha=0.05)
         b = credible_intervals(gamma, c=10.0, sigma_sq=4.0, d=d, alpha=0.05)
         np.testing.assert_allclose(b.lengths(), 2.0 * a.lengths(), rtol=1e-12)
@@ -60,15 +60,15 @@ class TestCredibleIntervals:
     def test_empty_model_rejected(self):
         d, _ = make_dataset(p=3)
         with pytest.raises(ValidationError, match="no selected"):
-            credible_intervals(ModelIndicator((), p=3), 1.0, 1.0, d, 0.05)
+            credible_intervals((), 1.0, 1.0, d, 0.05)
         with pytest.raises(ValidationError):
-            credible_intervals(ModelIndicator((0,), p=3), 1.0, 1.0, d, 1.5)
+            credible_intervals((0,), 1.0, 1.0, d, 1.5)
 
 
 class TestFcr:
     def _intervals(self, entries):
         return CredibleIntervalSet(entries=tuple(entries), alpha=0.05,
-                                   gamma=ModelIndicator(tuple(e[0] for e in entries), p=10))
+                                   gamma=tuple(e[0] for e in entries))
 
     def test_all_cover(self):
         truth = derive_ground_truth([1.0, 2.0] + [0.0] * 8, 1.0)
@@ -131,7 +131,7 @@ class TestSummaries:
     def test_perfect_recovery(self):
         d, beta0 = make_dataset(n=40, p=5, s=2, seed=6)
         truth = derive_ground_truth(beta0, 1.0)
-        counts = {truth.gamma0: 90, ModelIndicator((0,), p=5): 10}
+        counts = {truth.gamma0: 90, (0,): 10}
         out = fake_output(5, counts, beta_rows=[beta0] * 100)
         rec = summarize_run(out, truth, d)
         assert rec.selected == truth.gamma0
@@ -143,15 +143,15 @@ class TestSummaries:
     def test_empty_selection(self):
         d, beta0 = make_dataset(n=40, p=5, s=2, seed=6)
         truth = derive_ground_truth(beta0, 1.0)
-        out = fake_output(5, {ModelIndicator((), p=5): 100})
+        out = fake_output(5, {(): 100})
         rec = summarize_run(out, truth, d)
         assert rec.fcr == 0.0 and rec.interval_lengths.size == 0
 
     def test_aggregate_permutation_invariant(self):
         recs = [
-            RunRecord(ModelIndicator((0, 1), p=5), 0.95, 2, 0.3, 0.0, np.array([0.4, 0.5])),
-            RunRecord(ModelIndicator((0,), p=5), 0.40, 1, 0.6, 0.5, np.array([0.7])),
-            RunRecord(ModelIndicator((0, 1, 2), p=5), 0.80, 3, 0.2, 0.0, np.array([0.3, 0.2, 0.4])),
+            RunRecord((0, 1), 0.95, 2, 0.3, 0.0, np.array([0.4, 0.5])),
+            RunRecord((0,), 0.40, 1, 0.6, 0.5, np.array([0.7])),
+            RunRecord((0, 1, 2), 0.80, 3, 0.2, 0.0, np.array([0.3, 0.2, 0.4])),
         ]
         a = aggregate_records(recs)
         b = aggregate_records(recs[::-1])
@@ -163,8 +163,8 @@ class TestSummaries:
 
     def test_mixed_beta_recording_rejected(self):
         recs = [
-            RunRecord(ModelIndicator((0,), p=5), 0.9, 1, 0.1, 0.0, np.array([0.4])),
-            RunRecord(ModelIndicator((0,), p=5), 0.9, 1, None, 0.0, np.array([0.4])),
+            RunRecord((0,), 0.9, 1, 0.1, 0.0, np.array([0.4])),
+            RunRecord((0,), 0.9, 1, None, 0.0, np.array([0.4])),
         ]
         with pytest.raises(ValidationError, match="beta recording"):
             aggregate_records(recs)

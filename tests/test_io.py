@@ -6,7 +6,7 @@ import pytest
 from bayes_screen import io
 from bayes_screen.data import ValidationError, derive_ground_truth
 from bayes_screen.exact import EnumeratedPosterior
-from bayes_screen.gibbs import ChainConfig, run_chain
+from bayes_screen.gibbs import ChainConfig, ChainOutput, run_chain
 
 from conftest import fixed_prior, make_dataset
 
@@ -59,9 +59,20 @@ class TestChainOutputFiles:
         assert len(scalars) - 1 == out.sigma_sq_draws.shape[0]
         assert (tmp_path / "beta_c0.csv").exists()
 
+    def test_models_with_tied_counts_sorted_by_indices(self, tmp_path):
+        counts = {(2,): 5, (0, 1, 2): 2, (1,): 5, (): 2, (0, 3): 5, (0,): 9}
+        out = ChainOutput(model_counts=counts, sigma_sq_draws=np.ones(2), c_draws=np.ones(2),
+                          t_n_draws=np.ones(2, dtype=np.int64), beta_draws=None, mh_accept_rate=None,
+                          c_update_skips=0, seed=0, p=4, n_kept=28)
+        io.write_chain_output(tmp_path, out, thin=1)
+        # (-count, indices): a larger model with smaller indices comes first
+        assert (tmp_path / "models.csv").read_text().splitlines() == [
+            "gamma,count", "1,9", "1+4,5", "2,5", "3,5", ",2", "1+2+3,2"]
+        assert out.modal_model() == (0,)
+
     def test_enumeration_format(self, tmp_path):
         post = EnumeratedPosterior(entries=((0,), ()), log_scores=np.array([-2.0, -3.0]),
-                                   probs=np.array([0.75, 0.25]), t_n=1, c=1.0, p=3)
+                                   probs=np.array([0.75, 0.25]), t_n=1, c=1.0)
         path = tmp_path / "enum.csv"
         io.write_enumeration(path, post)
         lines = path.read_text().splitlines()
