@@ -10,14 +10,12 @@ from .data import (
     Dataset,
     FixedC,
     GroundTruth,
-    Precomputed,
     PriorConfig,
     SamplerState,
     ValidationError,
     check_model,
     derive_ground_truth,
     model_label,
-    validate_dataset,
 )
 from .exact import (
     EnumeratedPosterior,

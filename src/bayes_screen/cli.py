@@ -12,7 +12,7 @@ subcommand; explicit flags override the file, which overrides defaults.
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -27,7 +27,7 @@ from .exact import check_sparse_riesz, enumerate_posterior
 from .exact import log_unnorm_posterior  # noqa: F401
 from .gibbs import ChainAbort, ChainConfig, chain_seed, merge_chains, run_chain
 from .inference import aggregate_records, credible_intervals, summarize_run
-from .simgen import Example1Spec, Example2Spec, gen_example1, gen_example2
+from .simgen import Example1Spec, Example2Spec, gen_example1, gen_example2, signal_floor
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -132,14 +132,14 @@ def generator_spec(args):
             mult = 4.0 if args.s <= 8 else 5.0
         else:
             mult = 2.0 if args.s == 5 else 4.0
-        a = mult * math.log(args.n) / math.sqrt(args.n)
+        a = signal_floor(args.n, mult)
     return Example2Spec(
         setting=args.setting, n=args.n, p=args.p, s_n=args.s, sigma=sigma, a=a, r=args.r, seed=0
     )
 
 
 def generate(spec, seed: int):
-    spec = type(spec)(**{**spec.__dict__, "seed": seed})
+    spec = dataclasses.replace(spec, seed=seed)
     if isinstance(spec, Example1Spec):
         return gen_example1(spec)
     return gen_example2(spec)
@@ -154,6 +154,7 @@ def fixed_c_value(args, n: int, p: int) -> float:
 
 
 def prior_from_args(args, n: int, p: int) -> PriorConfig:
+    """The prior the options describe, checked against a dataset's (n, p)."""
     if args.prior == "fixed":
         c_prior = FixedC(fixed_c_value(args, n, p))
     elif args.prior == "gzs":
@@ -161,7 +162,9 @@ def prior_from_args(args, n: int, p: int) -> PriorConfig:
     else:
         c_prior = GHG(d=args.d, b=args.ghg_b)
     m_n = args.mn if args.mn is not None else PriorConfig.default_m_n(n)
-    return PriorConfig(nu=args.nu, m_n=m_n, c_prior=c_prior)
+    prior = PriorConfig(nu=args.nu, m_n=m_n, c_prior=c_prior)
+    prior.validate_for(n, p)
+    return prior
 
 
 def resolved_config(args) -> dict:
@@ -171,10 +174,10 @@ def resolved_config(args) -> dict:
 # --- subcommands ----------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     spec = generator_spec(args)
     dataset, truth = generate(spec, args.seed)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     io.write_dataset(outdir / "dataset.csv", dataset)
     io.write_ground_truth(outdir / "truth.csv", truth)
     io.write_meta(outdir / "meta.json", resolved_config(args), args.seed)
@@ -234,10 +237,10 @@ def cmd_fit(args) -> int:
             f"each chain would keep {draws} draws, ceil((iters - burn) / thin); "
             f"diagnostics need at least {diagnostics.MIN_ESS_LENGTH}"
         )
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     dataset = io.read_dataset(args.data)
     prior = prior_from_args(args, dataset.n, dataset.p)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     outputs = _run_chains(dataset, prior, args)
     for i, out in enumerate(outputs):
         io.write_chain_output(outdir, out, thin=args.thin, label=f"chain{i}")
@@ -294,10 +297,9 @@ def cmd_exact(args) -> int:
 
 def _replicate_one(payload):
     """Worker: generate data, run chains, summarize. Top-level for pickling."""
-    (rep, spec, args_dict) = payload
+    (rep, spec, prior, args_dict) = payload
     args = argparse.Namespace(**args_dict)
     dataset, truth = generate(spec, chain_seed(args.seed, rep, 2**31))
-    prior = prior_from_args(args, dataset.n, dataset.p)
     try:
         outputs = _run_chains(dataset, prior, args, replication=rep)
     except ChainAbort as exc:
@@ -311,10 +313,11 @@ def cmd_replicate(args) -> int:
     check_alpha(args.alpha)
     if args.reps < 1 or args.threads < 1:
         raise ValidationError(f"--reps and --threads must be >= 1, got {args.reps} and {args.threads}")
+    spec = generator_spec(args)
+    prior = prior_from_args(args, spec.n, spec.p)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    spec = generator_spec(args)
-    payloads = [(rep, spec, resolved_config(args)) for rep in range(args.reps)]
+    payloads = [(rep, spec, prior, resolved_config(args)) for rep in range(args.reps)]
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             results = list(pool.map(_replicate_one, payloads))
@@ -370,8 +373,6 @@ def cmd_replicate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     scalars = []
     for path in args.scalars:
         try:
@@ -379,6 +380,8 @@ def cmd_diagnose(args) -> int:
         except OSError as exc:
             raise ValidationError(f"cannot read scalars file {path}: {exc}") from exc
     rows = _chain_diagnostics([s[:, 1] for s in scalars], [s[:, 2] for s in scalars])
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     _write_diagnostics(outdir / "diagnostics.csv", rows)
     for name, rhat, ess_min in rows:
         print(f"R-hat[{name}] = {rhat:.4f}  min ESS = {ess_min:.0f}")

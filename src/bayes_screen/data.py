@@ -1,5 +1,9 @@
 """Domain types shared by the selection, sampling and inference code.
 
+A :class:`Dataset` is checked when it is built and carries the squared
+column norms and y'y that the sweep, the exact scorer and the g-prior
+quadrature all read; no layer checks or caches it again.
+
 A model is a sorted tuple of distinct 0-based column indices, everywhere
 inside the package; :func:`check_model` validates one that comes in from a
 caller. Conversion to the 1-based labels used in files and on the command
@@ -26,8 +30,13 @@ def model_label(included) -> str:
 
 def check_model(indices, p: int) -> tuple:
     """A model given from outside the package, as the package holds every
-    model: a sorted tuple of distinct 0-based Python ints in [0, p)."""
-    idx = tuple(sorted(int(j) for j in indices))
+    model: a sorted tuple of distinct 0-based Python ints in [0, p).
+    Indices must be Python or numpy integers, not bools."""
+    idx = tuple(indices)
+    for j in idx:
+        if isinstance(j, bool) or not isinstance(j, (int, np.integer)):
+            raise ValidationError(f"model index {j!r} is not an integer")
+    idx = tuple(sorted(int(j) for j in idx))
     if len(set(idx)) != len(idx):
         raise ValidationError("duplicate indices in model")
     if idx and (idx[0] < 0 or idx[-1] >= p):
@@ -35,45 +44,38 @@ def check_model(indices, p: int) -> tuple:
     return idx
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """Response vector and design matrix. ``x`` is stored Fortran-ordered
-    so that the sampler's column accesses are contiguous."""
+    """Response vector y and design matrix x, checked when built, with the
+    two by-products every layer reads: ``col_sq_norms`` (the squared
+    column norms ||x_j||^2) and ``yty`` (y'y).
 
-    y: np.ndarray
-    x: np.ndarray
-    n: int
-    p: int
+    y is held as a contiguous float64 vector and x as a Fortran-ordered
+    float64 matrix, so that the sampler's column accesses are contiguous;
+    an input already in that form is held without a copy. The caches are
+    computed once, so the arrays must not be modified afterwards.
+    """
 
-    @classmethod
-    def from_arrays(cls, y, x) -> "Dataset":
+    def __init__(self, y, x):
         y = np.ascontiguousarray(y, dtype=np.float64).ravel()
         x = np.asfortranarray(x, dtype=np.float64)
-        if x.ndim != 2:
-            raise ValidationError("x must be a 2-d matrix")
-        d = cls(y=y, x=x, n=x.shape[0], p=x.shape[1])
-        problems = validate_dataset(d)
+        if x.ndim != 2 or 0 in x.shape:
+            raise ValidationError(f"x must be 2-d with at least one row and one column, got shape {x.shape}")
+        n, p = x.shape
+        problems = []
+        if y.shape != (n,):
+            problems.append(f"dimension mismatch: y has length {y.shape[0]}, n={n}")
+        if not np.all(np.isfinite(y)):
+            problems.append("non-finite entries in y")
+        if not np.all(np.isfinite(x)):
+            problems.append("non-finite entries in x")
+        else:
+            col_sq_norms = np.einsum("ij,ij->j", x, x)
+            problems += [f"zero-norm column {j + 1}" for j in np.flatnonzero(col_sq_norms == 0.0)]
         if problems:
             raise ValidationError("; ".join(problems))
-        return d
-
-
-def validate_dataset(d: Dataset) -> list:
-    """Report-style validation: returns a list of violations (empty = ok)."""
-    problems = []
-    if d.y.shape != (d.n,):
-        problems.append(f"dimension mismatch: y has length {d.y.shape[0]}, n={d.n}")
-    if d.x.shape != (d.n, d.p):
-        problems.append(f"dimension mismatch: x has shape {d.x.shape}, expected ({d.n}, {d.p})")
-    if not np.all(np.isfinite(d.y)):
-        problems.append("non-finite entries in y")
-    if not np.all(np.isfinite(d.x)):
-        problems.append("non-finite entries in x")
-    else:
-        sq = np.einsum("ij,ij->j", d.x, d.x)
-        for j in np.flatnonzero(sq == 0.0):
-            problems.append(f"zero-norm column {j + 1}")
-    return problems
+        self.y, self.x, self.n, self.p = y, x, n, p
+        self.col_sq_norms = col_sq_norms
+        self.yty = float(y @ y)
 
 
 @dataclass(frozen=True)
@@ -189,20 +191,21 @@ class PriorConfig:
         if self.m_n < 1:
             raise ValidationError("m_n must be >= 1")
 
-    def validate_for(self, d: Dataset) -> None:
-        if self.m_n > d.n:
-            raise ValidationError(f"m_n={self.m_n} exceeds n={d.n}")
+    def validate_for(self, n: int, p: int) -> None:
+        """Check the prior against a dataset's shape (n, p)."""
+        if self.m_n > n:
+            raise ValidationError(f"m_n={self.m_n} exceeds n={n}")
         if isinstance(self.c_prior, GZS):
-            self.c_prior.log_scale(d.p)
+            self.c_prior.log_scale(p)
         elif isinstance(self.c_prior, GHG):
-            self.c_prior.alpha_n(d.p)
+            self.c_prior.alpha_n(p)
 
     @staticmethod
     def default_m_n(n: int) -> int:
         return max(1, n // 2)
 
 
-# --- sampler state and caches ------------------------------------------------
+# --- sampler state -------------------------------------------------------------
 
 @dataclass
 class SamplerState:
@@ -245,15 +248,3 @@ class SamplerState:
         if drift >= 1e-8 * (1.0 + np.max(np.abs(d.y))):
             raise AssertionError(f"residual cache drifted by {drift:.3e}")
 
-
-@dataclass(frozen=True)
-class Precomputed:
-    """Per-dataset caches: squared column norms and y'y."""
-
-    col_sq_norms: np.ndarray
-    yty: float
-
-    @classmethod
-    def from_dataset(cls, d: Dataset) -> "Precomputed":
-        sq = np.einsum("ij,ij->j", d.x, d.x)
-        return cls(col_sq_norms=sq, yty=float(d.y @ d.y))

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import logsumexp
 
-from .data import GHG, GZS, Dataset, Precomputed, PriorConfig, ValidationError, check_model
+from .data import GHG, GZS, Dataset, PriorConfig, ValidationError, check_model
 
 ENUMERATION_GUARD = 10**6
 CHUNK_BYTES = 2**20  # model columns per stacked call; bounds each chunk's working set
@@ -75,7 +75,7 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _score_given_c(combos: np.ndarray, c: float, d: Dataset, pre: Precomputed, nu: float) -> np.ndarray:
+def _score_given_c(combos: np.ndarray, c: float, d: Dataset, nu: float) -> np.ndarray:
     """log[ det(W)^(-1/2) (1 + Y'(I - X U^-1 X')Y)^(-(n+nu)/2) ] of every
     model whose column indices are a row of ``combos`` (shape (m, k), one
     size k), with the indifference model prior folded in as a constant 0.
@@ -85,7 +85,7 @@ def _score_given_c(combos: np.ndarray, c: float, d: Dataset, pre: Precomputed, n
     so a model's score has the same bits in any batch.
     """
     m, k = combos.shape
-    null = -0.5 * (d.n + nu) * math.log1p(pre.yty)
+    null = -0.5 * (d.n + nu) * math.log1p(d.yty)
     if k == 0 or m == 0:
         return np.full(m, null)
     xt = d.x.T[combos]  # (m, k, n): each model's X_g', one contiguous block
@@ -101,7 +101,7 @@ def _score_given_c(combos: np.ndarray, c: float, d: Dataset, pre: Precomputed, n
         for j in range(i):
             acc -= low[:, i, j] * z[:, j]
         z[:, i] = acc / low[:, i, i]
-    quad = pre.yty - _row_sums(z * z)
+    quad = d.yty - _row_sums(z * z)
     logdet_w = k * math.log(c) + logdet_u
     return -0.5 * logdet_w - 0.5 * (d.n + nu) * np.log1p(quad)
 
@@ -112,7 +112,6 @@ def log_unnorm_posterior(
     d: Dataset,
     prior: PriorConfig,
     t_n: int,
-    pre: Precomputed | None = None,
 ) -> float | None:
     """Exact unnormalized log posterior mass of one model at fixed c.
 
@@ -123,10 +122,8 @@ def log_unnorm_posterior(
     gamma = check_model(gamma, d.p)
     if len(gamma) > t_n:
         return None
-    if pre is None:
-        pre = Precomputed.from_dataset(d)
     combos = np.array([gamma], dtype=np.intp)  # shape (1, k), (1, 0) for the null model
-    return float(_score_given_c(combos, c, d, pre, prior.nu)[0])
+    return float(_score_given_c(combos, c, d, prior.nu)[0])
 
 
 def model_space_size(p: int, t_n: int) -> int:
@@ -149,13 +146,12 @@ def _enumerate_scores(d: Dataset, nu: float, c: float, t_n: int):
         raise ValidationError("t_n must be >= 0")
     if model_space_size(d.p, t_n) > ENUMERATION_GUARD:
         raise ValidationError("model space too large for enumeration")
-    pre = Precomputed.from_dataset(d)
     models = [()]
-    scores = [_score_given_c(np.empty((1, 0), dtype=np.intp), c, d, pre, nu)]
+    scores = [_score_given_c(np.empty((1, 0), dtype=np.intp), c, d, nu)]
     for k in range(1, t_n + 1):
         combos = list(itertools.combinations(range(d.p), k))
         models += combos
-        scores += [_score_given_c(chunk, c, d, pre, nu) for chunk in _chunks(combos, k, d.n)]
+        scores += [_score_given_c(chunk, c, d, nu) for chunk in _chunks(combos, k, d.n)]
     return models, np.concatenate(scores)
 
 
@@ -228,9 +224,12 @@ def _c_prior_logpdf_and_bounds(c_prior, p: int):
         def logpdf(c):
             return lognorm + (alpha - 1.0) * np.log(c) - (alpha + b) * np.log1p(c)
 
-        sdist = stats.beta(alpha, b)
-        s_lo, s_hi = sdist.ppf(1e-9), sdist.ppf(1 - 1e-9)
-        lo, hi = s_lo / (1.0 - s_lo), s_hi / (1.0 - s_hi)
+        # c/(1+c) ~ Beta(alpha, b) bounds c from below; the upper bound comes
+        # from 1/(1+c) ~ Beta(b, alpha), whose small quantile stays off 0
+        # where Beta(alpha, b)'s upper one would round to 1
+        s_lo = stats.beta(alpha, b).ppf(1e-9)
+        t_lo = stats.beta(b, alpha).ppf(1e-9)
+        lo, hi = s_lo / (1.0 - s_lo), (1.0 - t_lo) / t_lo
     else:
         raise ValidationError("g-prior marginal requires a GZS or GHG c-prior")
     lo = min(max(lo, 1e-12), 1e300)
@@ -259,7 +258,6 @@ def log_unnorm_posterior_g(
     if len(gamma) > t_n:
         return None
     logpdf, c_lo, c_hi = _c_prior_logpdf_and_bounds(prior.c_prior, d.p)
-    pre = Precomputed.from_dataset(d)
     nodes, weights = _leggauss(n_nodes)
     k_lo, k_hi = math.log(c_lo), math.log(c_hi)
     kappa = 0.5 * (k_hi - k_lo) * nodes + 0.5 * (k_hi + k_lo)
@@ -275,7 +273,7 @@ def log_unnorm_posterior_g(
         a = vecs.T @ (xg.T @ d.y)
     shifted = lam[:, None] + 1.0 / c_vals
     logdet_w = k * np.log(c_vals) + np.log(shifted).sum(axis=0)
-    quad = pre.yty - (a[:, None] ** 2 / shifted).sum(axis=0)
+    quad = d.yty - (a[:, None] ** 2 / shifted).sum(axis=0)
     scores = -0.5 * logdet_w - 0.5 * (d.n + prior.nu) * np.log1p(quad)
     # integrand in kappa: q(gamma | c, Z) g(c) c  (Jacobian dc = c dkappa)
     logf = scores + logpdf(c_vals) + kappa

@@ -21,12 +21,10 @@ from .data import (
     GZS,
     Dataset,
     FixedC,
-    Precomputed,
     PriorConfig,
     SamplerState,
     ValidationError,
     check_model,
-    validate_dataset,
 )
 from .kernel import sweep_blocks
 
@@ -48,7 +46,6 @@ class ChainConfig:
     thin: int = 1
     seed: int = 0
     record_beta: bool = False
-    init: SamplerState | None = None
 
     def __post_init__(self):
         if not (0 <= self.n_burn < self.n_iter):
@@ -162,7 +159,6 @@ def get_sweep_kernel(impl=None):
 def gibbs_sweep(
     state: SamplerState,
     d: Dataset,
-    pre: Precomputed,
     prior: PriorConfig,
     rng: np.random.Generator,
     sweep_kernel=sweep_blocks,
@@ -173,7 +169,7 @@ def gibbs_sweep(
     normals = rng.standard_normal(d.p)
     sweep_kernel(
         d.x,
-        pre.col_sq_norms,
+        d.col_sq_norms,
         state.beta,
         state.gamma_mask,
         state.residual,
@@ -200,14 +196,10 @@ def run_chain(
     Model visit counts are per post-burn sweep (they sum to
     n_iter - n_burn); scalar and beta draws are thinned by ``cfg.thin``.
     """
-    problems = validate_dataset(d)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    prior.validate_for(d)
+    prior.validate_for(d.n, d.p)
 
     rng = np.random.default_rng(cfg.seed)
-    pre = Precomputed.from_dataset(d)
-    state = cfg.init.copy() if cfg.init is not None else default_initial_state(d, prior, rng)
+    state = default_initial_state(d, prior, rng)
     sweep_kernel = get_sweep_kernel()
 
     model_counts: dict = {}
@@ -216,7 +208,7 @@ def run_chain(
 
     for it in range(cfg.n_iter):
         try:
-            accepted, skipped = gibbs_sweep(state, d, pre, prior, rng, sweep_kernel, tuning)
+            accepted, skipped = gibbs_sweep(state, d, prior, rng, sweep_kernel, tuning)
         except FloatingPointError as exc:
             raise ChainAbort(str(exc), it) from exc
         if not (math.isfinite(state.sigma_sq) and math.isfinite(state.c)):

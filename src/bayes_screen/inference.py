@@ -96,7 +96,6 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class ReplicationSummary:
-    records: tuple
     f_values: dict  # eta -> F(eta)
     mssm: float
     me: float | None
@@ -146,13 +145,14 @@ def summarize_run(
     )
 
 
-def aggregate_records(records, etas=(0.5, 0.9)) -> ReplicationSummary:
-    """Order-independent aggregation of per-replication records."""
+def aggregate_records(records) -> ReplicationSummary:
+    """Order-independent aggregation of per-replication records; F(eta) at
+    eta = 0.5 and 0.9."""
     records = tuple(records)
     if not records:
         raise ValidationError("no records to aggregate")
     freqs = [r.freq_true for r in records]
-    f_values = {eta: f_eta(freqs, eta) for eta in etas}
+    f_values = {eta: f_eta(freqs, eta) for eta in (0.5, 0.9)}
     mssm = float(np.median([r.size for r in records]))
     errs = [r.err for r in records if r.err is not None]
     if any(r.err is None for r in records) and not errs:
@@ -171,7 +171,6 @@ def aggregate_records(records, etas=(0.5, 0.9)) -> ReplicationSummary:
     else:
         mean_len = None
     return ReplicationSummary(
-        records=records,
         f_values=f_values,
         mssm=mssm,
         me=me,

@@ -36,7 +36,7 @@ def read_dataset(path) -> Dataset:
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape[1] != len(header):
         raise ValidationError(f"{path}: row width does not match header")
-    return Dataset.from_arrays(data[:, 0], data[:, 1:])
+    return Dataset(data[:, 0], data[:, 1:])
 
 
 def write_ground_truth(path, truth: GroundTruth) -> None:

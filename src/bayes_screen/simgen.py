@@ -86,7 +86,7 @@ def gen_example1(spec: Example1Spec) -> tuple[Dataset, GroundTruth]:
 
     eps = math.sqrt(spec.sigma_sq) * rng.standard_normal(spec.n)
     y = x @ beta0 + eps
-    return Dataset.from_arrays(y, x), derive_ground_truth(beta0, spec.sigma_sq)
+    return Dataset(y, x), derive_ground_truth(beta0, spec.sigma_sq)
 
 
 def conditioned_covariance(s_n: int, cond: float, rng: np.random.Generator) -> np.ndarray:
@@ -127,4 +127,4 @@ def gen_example2(spec: Example2Spec) -> tuple[Dataset, GroundTruth]:
 
     eps = spec.sigma * rng.standard_normal(n)
     y = x @ beta0 + eps
-    return Dataset.from_arrays(y, x), derive_ground_truth(beta0, spec.sigma**2)
+    return Dataset(y, x), derive_ground_truth(beta0, spec.sigma**2)

@@ -11,7 +11,7 @@ def make_dataset(n=40, p=6, s=2, seed=0, beta_scale=2.0, sigma=1.0):
     beta0 = np.zeros(p)
     beta0[:s] = beta_scale
     y = x @ beta0 + sigma * rng.standard_normal(n)
-    return Dataset.from_arrays(y, x), beta0
+    return Dataset(y, x), beta0
 
 
 def fixed_prior(c, m_n):

@@ -213,7 +213,7 @@ def test_criterion_08_kernel_matches_numerical_integration():
     beta0 = np.array([1.0, -0.5, 0.0])
     y = x @ beta0 + 0.5 * rngen.standard_normal(n)
     from bayes_screen.data import Dataset
-    d = Dataset.from_arrays(y, x)
+    d = Dataset(y, x)
     prior = PriorConfig(nu=nu, m_n=3, c_prior=FixedC(c))
 
     def numeric_log_integral(gamma):
@@ -263,7 +263,7 @@ def test_criterion_08_kernel_matches_numerical_integration():
     d2_rng = np.random.default_rng(802)
     x2 = d2_rng.standard_normal((25, 10))
     y2 = d2_rng.standard_normal(25)
-    d2 = Dataset.from_arrays(y2, x2)
+    d2 = Dataset(y2, x2)
     prior2 = PriorConfig(nu=nu, m_n=10, c_prior=FixedC(9.0))
     for _ in range(30):
         k = int(d2_rng.integers(1, 8))

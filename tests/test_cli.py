@@ -284,3 +284,45 @@ class TestMissingInput:
         missing = tmp_path / "nope.csv"
         assert run(argv + [str(missing), "--out", str(tmp_path / "o")]) == 2
         assert "nope.csv" in capsys.readouterr().err
+
+
+class TestInputsCheckedBeforeOut:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--example", "1", "--n", "20", "--p", "5", "--s", "3"],
+        ["fit", "--data", "{data}", "--prior", "fixed", "--c", "5", "--nu", "nan", "--iters", "100", "--burn", "10"],
+        ["fit", "--data", "{data}", "--prior", "gzs", "--mn", "21", "--iters", "100", "--burn", "10"],
+        ["fit", "--data", "{missing}", "--prior", "gzs", "--iters", "100", "--burn", "10"],
+        ["replicate", "--example", "1", "--n", "20", "--p", "5", "--s", "2", "--prior", "ghg", "--ghg-b", "nan",
+         "--iters", "100", "--burn", "10"],
+        ["replicate", "--example", "1", "--n", "20", "--p", "5", "--s", "2", "--mn", "21",
+         "--iters", "100", "--burn", "10"],
+        ["diagnose", "--scalars", "{missing}"],
+    ], ids=["simulate-odd-s", "fit-nan-nu", "fit-mn-above-n", "fit-missing-data", "replicate-nan-ghg-b",
+            "replicate-mn-above-n", "diagnose-missing-scalars"])
+    def test_exit_2_leaves_no_out_directory(self, tmp_path, small_data, argv):
+        out = tmp_path / "o"
+        argv = [a.format(data=small_data, missing=tmp_path / "missing.csv") for a in argv]
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+
+class TestNoColumns:
+    """A dataset file holding only y."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--prior", "gzs", "--iters", "100", "--burn", "10"],
+        ["fit", "--prior", "ghg", "--iters", "100", "--burn", "10"],
+        ["fit", "--prior", "fixed", "--c", "5", "--iters", "100", "--burn", "10"],
+        ["exact", "--tn", "1", "--c", "5"],
+        ["check-riesz", "--r", "1"],
+        ["check-riesz", "--r", "1", "--mode", "sampled"],
+    ], ids=["fit-gzs", "fit-ghg", "fit-fixed", "exact", "check-riesz", "check-riesz-sampled"])
+    def test_exits_2(self, tmp_path, capsys, argv):
+        data = tmp_path / "y_only.csv"
+        data.write_text("y\n1.0\n-2.0\n0.5\n")
+        out = tmp_path / "o"
+        assert run(argv + ["--data", str(data), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "at least one row and one column" in captured.err
+        assert captured.out == ""
+        assert not out.exists()

@@ -6,14 +6,12 @@ from bayes_screen.data import (
     GZS,
     Dataset,
     FixedC,
-    Precomputed,
     PriorConfig,
     SamplerState,
     ValidationError,
     check_model,
     derive_ground_truth,
     model_label,
-    validate_dataset,
 )
 from bayes_screen.exact import log_unnorm_posterior, log_unnorm_posterior_g
 from bayes_screen.gibbs import ChainOutput
@@ -47,7 +45,7 @@ class TestModelIndicator:
 def public_model_callers():
     """Each public function that takes a model from its caller, as a
     function of that model on a p = 5 dataset."""
-    d = Dataset.from_arrays(np.arange(6.0), np.random.default_rng(1).standard_normal((6, 5)))
+    d = Dataset(np.arange(6.0), np.random.default_rng(1).standard_normal((6, 5)))
     prior = PriorConfig(m_n=3, c_prior=GZS(a=1.0, b_n=1.0))
     out = ChainOutput(model_counts={(1, 3): 3, (): 1}, sigma_sq_draws=np.ones(4), c_draws=np.ones(4),
                       t_n_draws=np.ones(4, dtype=np.int64), beta_draws=None, mh_accept_rate=None,
@@ -75,26 +73,42 @@ class TestModelCallers:
         with pytest.raises(ValidationError, match="out of range"):
             public_model_callers()[name](gamma)
 
+    @pytest.mark.parametrize("gamma", [(1.5,), (1.0,), [True], (np.float64(2.0),), (np.bool_(True),), ("1",), "13"],
+                             ids=["float", "integral-float", "bool", "np-float", "np-bool", "str", "string"])
+    def test_non_integer_index_rejected(self, name, gamma):
+        with pytest.raises(ValidationError, match="not an integer"):
+            public_model_callers()[name](gamma)
+
 
 class TestDataset:
     def test_from_arrays_fortran_order(self):
-        d = Dataset.from_arrays([1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]])
+        d = Dataset([1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]])
         assert d.x.flags.f_contiguous
         assert (d.n, d.p) == (2, 2)
 
     def test_rejects_nonfinite_y(self):
         with pytest.raises(ValidationError, match="non-finite"):
-            Dataset.from_arrays([np.nan, 1.0], [[1.0], [1.0]])
+            Dataset([np.nan, 1.0], [[1.0], [1.0]])
 
     def test_rejects_zero_column(self):
         with pytest.raises(ValidationError, match="zero-norm column 2"):
-            Dataset.from_arrays([1.0, 1.0], [[1.0, 0.0], [1.0, 0.0]])
+            Dataset([1.0, 1.0], [[1.0, 0.0], [1.0, 0.0]])
 
     def test_validate_reports_all_problems(self):
-        d = Dataset(y=np.array([1.0]), x=np.zeros((2, 1), order="F"), n=2, p=1)
-        problems = validate_dataset(d)
-        assert any("mismatch" in s for s in problems)
-        assert any("zero-norm" in s for s in problems)
+        with pytest.raises(ValidationError) as err:
+            Dataset(np.array([1.0]), np.zeros((2, 1)))
+        assert "mismatch" in str(err.value) and "zero-norm column 1" in str(err.value)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 0), (0, 2), (2, 2, 2)])
+    def test_rejects_x_without_rows_or_columns(self, shape):
+        with pytest.raises(ValidationError, match="2-d with at least one row and one column"):
+            Dataset(np.ones(3), np.ones(shape))
+
+    def test_keeps_fortran_float64_input_without_copy(self):
+        x = np.asfortranarray(np.random.default_rng(2).standard_normal((4, 3)))
+        y = np.arange(4.0)
+        d = Dataset(y, x)
+        assert np.shares_memory(d.x, x) and np.shares_memory(d.y, y)
 
 
 class TestGroundTruth:
@@ -158,9 +172,9 @@ class TestPriors:
             PriorConfig(m_n=0)
 
     def test_validate_for_caps_m_n(self):
-        d = Dataset.from_arrays(np.ones(3), np.eye(3))
+        d = Dataset(np.ones(3), np.eye(3))
         with pytest.raises(ValidationError, match="exceeds"):
-            PriorConfig(m_n=4).validate_for(d)
+            PriorConfig(m_n=4).validate_for(d.n, d.p)
 
     def test_default_m_n(self):
         assert PriorConfig.default_m_n(100) == 50
@@ -179,25 +193,25 @@ class TestSamplerState:
         )
 
     def test_invariants_hold_at_null(self):
-        d = Dataset.from_arrays(np.ones(3), np.eye(3))
+        d = Dataset(np.ones(3), np.eye(3))
         self._state(d).check_invariants(d, m_n=1)
 
     def test_support_mismatch_detected(self):
-        d = Dataset.from_arrays(np.ones(3), np.eye(3))
+        d = Dataset(np.ones(3), np.eye(3))
         s = self._state(d)
         s.beta[0] = 1.0
         with pytest.raises(AssertionError, match="support"):
             s.check_invariants(d, m_n=1)
 
     def test_residual_drift_detected(self):
-        d = Dataset.from_arrays(np.ones(3), np.eye(3))
+        d = Dataset(np.ones(3), np.eye(3))
         s = self._state(d)
         s.residual += 1.0
         with pytest.raises(AssertionError, match="drifted"):
             s.check_invariants(d, m_n=1)
 
     def test_gamma_is_sorted_tuple_of_python_ints(self):
-        d = Dataset.from_arrays(np.ones(5), np.eye(5))
+        d = Dataset(np.ones(5), np.eye(5))
         s = SamplerState(beta=np.zeros(5), gamma_mask=np.array([0, 1, 0, 1, 1], dtype=np.uint8),
                          sigma_sq=1.0, t_n=3, c=1.0, residual=d.y.copy())
         assert s.gamma == (1, 3, 4)
@@ -206,7 +220,7 @@ class TestSamplerState:
         assert s.gamma == ()
 
     def test_copy_is_deep(self):
-        d = Dataset.from_arrays(np.ones(3), np.eye(3))
+        d = Dataset(np.ones(3), np.eye(3))
         s = self._state(d)
         s2 = s.copy()
         s2.beta[0] = 9.0
@@ -217,7 +231,6 @@ def test_precomputed_matches_direct():
     rngen = np.random.default_rng(0)
     x = rngen.standard_normal((7, 4))
     y = rngen.standard_normal(7)
-    d = Dataset.from_arrays(y, x)
-    pre = Precomputed.from_dataset(d)
-    np.testing.assert_allclose(pre.col_sq_norms, (d.x**2).sum(axis=0), rtol=1e-14)
-    assert pre.yty == pytest.approx(float(d.y @ d.y), rel=1e-14)
+    d = Dataset(y, x)
+    np.testing.assert_allclose(d.col_sq_norms, (d.x**2).sum(axis=0), rtol=1e-14)
+    assert d.yty == pytest.approx(float(d.y @ d.y), rel=1e-14)

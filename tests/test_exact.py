@@ -11,7 +11,6 @@ from bayes_screen.data import (
     GZS,
     Dataset,
     FixedC,
-    Precomputed,
     PriorConfig,
     ValidationError,
     model_label,
@@ -58,7 +57,7 @@ def direct_score(gamma, c, d, nu):
 class TestFixedCScore:
     def test_hand_example_single_column(self):
         # y = (1,0,0), one column (1,0,0), c = 1, nu = 6
-        d = Dataset.from_arrays([1.0, 0.0, 0.0], [[1.0], [0.0], [0.0]])
+        d = Dataset([1.0, 0.0, 0.0], [[1.0], [0.0], [0.0]])
         prior = PriorConfig(nu=6.0, m_n=1, c_prior=FixedC(1.0))
         null = log_unnorm_posterior((), 1.0, d, prior, t_n=1)
         assert null == pytest.approx(-4.5 * math.log(2.0), rel=1e-14)
@@ -142,7 +141,7 @@ def ar_dataset(n=40, p=7, rho=0.99, seed=3):
         x[:, j] = rho * x[:, j - 1] + math.sqrt(1.0 - rho * rho) * z[:, j]
     x[:, p - 1] = x[:, 2]
     y = x[:, 0] - x[:, 3] + rngen.standard_normal(n)
-    return Dataset.from_arrays(y, x)
+    return Dataset(y, x)
 
 
 def guard_zero_size_lapack(monkeypatch):
@@ -183,7 +182,7 @@ class TestBatchedScorer:
         rngen = np.random.default_rng(21)
         n, c = 100, 1e16
         x = np.column_stack([np.ones(n), np.ones(n), rngen.standard_normal((n, 3))])
-        d = Dataset.from_arrays(x[:, 2] + rngen.standard_normal(n), x)
+        d = Dataset(x[:, 2] + rngen.standard_normal(n), x)
         prior = PriorConfig(m_n=2, c_prior=FixedC(c))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(x[:, :2].T @ x[:, :2] + np.eye(2) / c)
@@ -259,8 +258,7 @@ class TestBatchedScorer:
         post = enumerate_posterior(d, prior, 7.0, t_n=5)  # sizes 4 and 5 are empty
         assert len(post.entries) == 2**3
         assert by_model(post, post.log_scores)[()] == want
-        pre = Precomputed.from_dataset(d)
-        assert exact._score_given_c(np.empty((0, 2), dtype=np.intp), 7.0, d, pre, 6.0).shape == (0,)
+        assert exact._score_given_c(np.empty((0, 2), dtype=np.intp), 7.0, d, 6.0).shape == (0,)
         # the null model's marginal does not depend on c: the prior integrates to ~1
         g_null = log_unnorm_posterior_g(null, d, prior, t_n=5)
         assert g_null == pytest.approx(want, abs=1e-6)
@@ -331,7 +329,8 @@ class TestGPriorMarginal:
             got = log_unnorm_posterior_g(gamma, d, prior, t_n=5, n_nodes=64)
             assert got == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("c_prior", [GZS(a=1.0, b_n=2.0), GHG(d=1.0, b=2.0)], ids=["gzs", "ghg"])
+    @pytest.mark.parametrize("c_prior", [GZS(a=1.0, b_n=2.0), GHG(d=1.0, b=2.0), GHG(d=3.0, b=0.5)],
+                             ids=["gzs", "ghg", "ghg-d3"])
     @pytest.mark.parametrize("n,p,seed", [(20, 6, 0), (15, 5, 1), (20, 6, 2)])
     def test_128_and_256_nodes_agree(self, c_prior, n, p, seed):
         d, _ = make_dataset(n=n, p=p, s=2, seed=seed)
@@ -340,6 +339,15 @@ class TestGPriorMarginal:
             v128 = log_unnorm_posterior_g(gamma, d, prior, t_n=3, n_nodes=128)
             v256 = log_unnorm_posterior_g(gamma, d, prior, t_n=3, n_nodes=256)
             assert v128 == pytest.approx(v256, abs=1e-10)
+
+    def test_ghg_upper_bound_from_the_complementary_beta(self):
+        # c/(1+c) ~ Beta(217, 0.5) at p = 6: its 1 - 1e-9 quantile rounds to 1,
+        # so the bound comes from 1/(1+c) ~ Beta(0.5, 217) instead
+        ghg = GHG(d=3.0, b=0.5)
+        _, lo, hi = exact._c_prior_logpdf_and_bounds(ghg, 6)
+        t = stats.beta(0.5, ghg.alpha_n(6)).ppf(1e-9)
+        assert hi == (1.0 - t) / t
+        assert 1e20 < hi < 1e21 and 0 < lo < hi
 
     def test_improper_priors_rejected(self):
         d, _ = make_dataset(n=20, p=3, s=1)
@@ -367,7 +375,7 @@ class TestOneOrder:
         rngen = np.random.default_rng(4)
         x = rngen.standard_normal((100, 7))
         x[:, 6] = x[:, 2]
-        d = Dataset.from_arrays(1e4 * x[:, 2] + rngen.standard_normal(100), x)
+        d = Dataset(1e4 * x[:, 2] + rngen.standard_normal(100), x)
         return enumerate_posterior(d, PriorConfig(m_n=3, c_prior=FixedC(1e8)), 1e8, t_n=3)
 
     def test_entries_sorted_by_prob_size_indices(self, post):

@@ -11,7 +11,6 @@ from bayes_screen.data import (
     GZS,
     Dataset,
     FixedC,
-    Precomputed,
     PriorConfig,
     SamplerState,
     ValidationError,
@@ -59,9 +58,9 @@ class TestConfig:
         s.check_invariants(d, m_n=5)
 
 
-def sweep(state, d, pre, rngen):
+def sweep(state, d, rngen):
     """One sweep_blocks call on ``state`` with fresh variates from ``rngen``."""
-    return sweep_blocks(d.x, pre.col_sq_norms, state.beta, state.gamma_mask, state.residual,
+    return sweep_blocks(d.x, d.col_sq_norms, state.beta, state.gamma_mask, state.residual,
                         state.sigma_sq, state.c, state.t_n, rngen.random(d.p),
                         rngen.standard_normal(d.p))
 
@@ -69,26 +68,24 @@ def sweep(state, d, pre, rngen):
 class TestBlockUpdate:
     def test_forced_exclusion_when_cap_saturated(self):
         d, _ = make_dataset(n=20, p=3, s=1, seed=1)
-        pre = Precomputed.from_dataset(d)
         beta = np.array([1.0, 2.0, 0.0])
         mask = np.array([1, 1, 0], dtype=np.uint8)
         state = SamplerState(beta=beta, gamma_mask=mask, sigma_sq=1.0, t_n=1,
                              c=20.0, residual=d.y - d.x @ beta)
         # coordinate 0: the other active coordinate already fills t_n = 1
-        k = sweep(state, d, pre, np.random.default_rng(0))
+        k = sweep(state, d, np.random.default_rng(0))
         assert state.gamma_mask[0] == 0 and state.beta[0] == 0.0
         assert k == state.n_active
         state.check_invariants(d, m_n=2)
 
     def test_strong_signal_always_included(self):
         d, _ = make_dataset(n=100, p=2, s=1, seed=2, beta_scale=10.0, sigma=0.1)
-        pre = Precomputed.from_dataset(d)
         prior = fixed_prior(100.0, m_n=2)
         rngen = np.random.default_rng(3)
         state = default_initial_state(d, prior, rngen)
         state.t_n = 2
         for _ in range(50):
-            sweep(state, d, pre, rngen)
+            sweep(state, d, rngen)
         assert state.gamma_mask[0] == 1
 
     def test_huge_c_shrinks_inclusion(self):
@@ -96,14 +93,13 @@ class TestBlockUpdate:
         rngen = np.random.default_rng(4)
         x = rngen.standard_normal((50, 1))
         y = rngen.standard_normal(50)
-        d = Dataset.from_arrays(y, x)
-        pre = Precomputed.from_dataset(d)
+        d = Dataset(y, x)
         prior = fixed_prior(1e12, m_n=1)
         state = default_initial_state(d, prior, rngen)
         state.t_n = 1
         included = 0
         for _ in range(500):
-            sweep(state, d, pre, rngen)
+            sweep(state, d, rngen)
             included += int(state.gamma_mask[0])
         assert included < 25
 
@@ -120,7 +116,7 @@ class TestBlockUpdate:
         rngen = np.random.default_rng(seed)
         x = rngen.standard_normal((n, p))
         x[:, data.draw(st.integers(1, p - 1), label="dup")] = x[:, 0]
-        d = Dataset.from_arrays(rngen.standard_normal(n), x)
+        d = Dataset(rngen.standard_normal(n), x)
         t_n = data.draw(st.integers(1, p), label="t_n")
         active = rngen.choice(p, size=t_n, replace=False)
         beta = np.zeros(p)
@@ -128,7 +124,7 @@ class TestBlockUpdate:
         mask = (beta != 0.0).astype(np.uint8)
         state = SamplerState(beta=beta, gamma_mask=mask, sigma_sq=float(rngen.uniform(0.1, 10.0)),
                              t_n=t_n, c=10.0**log10_c, residual=d.y - d.x @ beta)
-        k = sweep(state, d, Precomputed.from_dataset(d), rngen)
+        k = sweep(state, d, rngen)
         assert k == np.count_nonzero(state.gamma_mask)
         assert k <= t_n
         state.check_invariants(d, m_n=p)
@@ -137,29 +133,28 @@ class TestBlockUpdate:
 class TestSweepKernels:
     def _setup(self, seed=0, n=30, p=6):
         d, _ = make_dataset(n=n, p=p, s=2, seed=seed)
-        pre = Precomputed.from_dataset(d)
         prior = fixed_prior(float(n), m_n=p)
-        return d, pre, prior
+        return d, prior
 
     def test_same_kernel_deterministic(self):
-        d, pre, prior = self._setup()
+        d, prior = self._setup()
         results = []
         for _ in range(2):
             rngen = np.random.default_rng(99)
             state = default_initial_state(d, prior, rngen)
             for _ in range(200):
-                gibbs_sweep(state, d, pre, prior, rngen)
+                gibbs_sweep(state, d, prior, rngen)
             results.append((state.beta.copy(), state.sigma_sq, state.t_n))
         np.testing.assert_array_equal(results[0][0], results[1][0])
         assert results[0][1] == results[1][1]
         assert results[0][2] == results[1][2]
 
     def test_residual_cache_stays_consistent(self):
-        d, pre, prior = self._setup(seed=6)
+        d, prior = self._setup(seed=6)
         rngen = np.random.default_rng(8)
         state = default_initial_state(d, prior, rngen)
         for _ in range(1500):
-            gibbs_sweep(state, d, pre, prior, rngen)
+            gibbs_sweep(state, d, prior, rngen)
         state.check_invariants(d, m_n=prior.m_n)
 
     def test_get_sweep_kernel_has_one_kernel(self):

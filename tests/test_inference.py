@@ -21,7 +21,7 @@ def orthonormal_dataset(n=16, k=3, seed=0):
     rngen = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rngen.standard_normal((n, k)))
     y = rngen.standard_normal(n)
-    return Dataset.from_arrays(y, q), q, y
+    return Dataset(y, q), q, y
 
 
 class TestCredibleIntervals:
