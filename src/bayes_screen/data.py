@@ -225,7 +225,8 @@ class SamplerState:
 
     @property
     def gamma(self) -> tuple:
-        return tuple(np.flatnonzero(self.gamma_mask).tolist())
+        # gamma_mask is 1-d, so nonzero() is flatnonzero() without its ravel
+        return tuple(self.gamma_mask.nonzero()[0].tolist())
 
     def copy(self) -> "SamplerState":
         return SamplerState(

@@ -173,13 +173,15 @@ def enumerate_posterior(d: Dataset, prior: PriorConfig, c: float, t_n: int) -> E
 
 
 def enumerate_posterior_with_tn_prior(d: Dataset, prior: PriorConfig, c: float) -> dict:
-    """Marginal model posterior under the uniform t_n prior on [1, m_n].
+    """Marginal model posterior under the joint (gamma, t_n) prior
+    p(gamma, t_n) proportional to 1{max(|gamma|, 1) <= t_n <= m_n}.
 
-    The joint over (gamma, t_n) puts mass q(gamma) on every t_n in
-    [max(|gamma|, 1), m_n], so the gamma marginal weights each model score
-    by the number of admissible t_n values. This is the stationary
-    gamma-marginal of the sampler with Fixed(c). Keyed by index tuple, in
-    enumeration order.
+    The t_n marginal of that prior is not uniform on [1, m_n]: it is
+    proportional to the number of models of size <= t_n. The joint
+    posterior puts mass q(gamma) on every t_n in [max(|gamma|, 1), m_n], so
+    the gamma marginal weights each model score by the number of
+    admissible t_n values. This is the stationary gamma-marginal of the
+    sampler with Fixed(c). Keyed by index tuple, in enumeration order.
     """
     m_n = prior.m_n
     models, scores = _enumerate_scores(d, prior.nu, c, m_n)
@@ -303,9 +305,14 @@ def check_sparse_riesz(
     """Extreme eigenvalues of (1/n) X_g' X_g over submodels of size <= 2r.
 
     Exact mode enumerates every model; sampled mode draws ``budget``
-    uniform models and therefore only reports a lower bound on c0.
+    uniform models and therefore only reports a lower bound on c0. x must
+    be 2-d, with at least one row and one column, and finite.
     """
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or 0 in x.shape:
+        raise ValidationError(f"x must be 2-d with at least one row and one column, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("non-finite entries in x")
     n, p = x.shape
     if r < 1:
         raise ValidationError("r must be >= 1")

@@ -1,6 +1,6 @@
 """Constrained blockwise Gibbs sampler: per-coordinate (beta_j, gamma_j)
 block updates with the size-control branch, conjugate sigma^2 update, the
-c update, and the uniform t_n redraw.
+c update, and the t_n redraw, uniform on [max(|gamma|, 1), m_n].
 
 The scan is systematic (ascending j) for reproducibility. Per sweep the
 chain pre-draws one uniform and one normal per coordinate; forced blocks
@@ -116,9 +116,12 @@ def default_initial_state(d: Dataset, prior: PriorConfig, rng: np.random.Generat
     )
 
 
-def update_sigma_sq(state: SamplerState, d: Dataset, prior: PriorConfig, rng: np.random.Generator) -> None:
-    """Conjugate inverse-gamma draw for the error variance."""
-    k = state.n_active
+def update_sigma_sq(state: SamplerState, d: Dataset, prior: PriorConfig, rng: np.random.Generator,
+                    k: int | None = None) -> None:
+    """Conjugate inverse-gamma draw for the error variance. ``k`` is |gamma|
+    when the caller already has it."""
+    if k is None:
+        k = state.n_active
     rss = float(state.residual @ state.residual)
     bsq = float(state.beta @ state.beta)  # off-support entries are exactly 0
     shape = 0.5 * (d.n + k + prior.nu)
@@ -126,22 +129,28 @@ def update_sigma_sq(state: SamplerState, d: Dataset, prior: PriorConfig, rng: np
     state.sigma_sq = scale / rng.gamma(shape)
 
 
-def update_t_n(state: SamplerState, prior: PriorConfig, rng: np.random.Generator) -> None:
-    """t_n uniform on the integer range [max(|gamma|, 1), m_n]."""
-    lo = max(state.n_active, 1)
+def update_t_n(state: SamplerState, prior: PriorConfig, rng: np.random.Generator, k: int | None = None) -> None:
+    """t_n uniform on the integer range [max(|gamma|, 1), m_n]: its full
+    conditional under p(gamma, t_n) proportional to
+    1{max(|gamma|, 1) <= t_n <= m_n}. ``k`` is |gamma| when the caller
+    already has it."""
+    if k is None:
+        k = state.n_active
+    lo = max(k, 1)
     state.t_n = int(rng.integers(lo, prior.m_n + 1))
 
 
-def _update_c(state, prior, tuning, rng):
-    """Returns (accepted flag or None, skipped flag)."""
+def _update_c(state, prior, tuning, rng, k=None):
+    """Returns (accepted flag or None, skipped flag). ``k`` is |gamma| when
+    the caller already has it."""
     cp = prior.c_prior
     if isinstance(cp, FixedC):
         return None, False
     if isinstance(cp, GZS):
-        updated = hyperc.update_c_gzs(state, cp, state.beta.shape[0], rng)
+        updated = hyperc.update_c_gzs(state, cp, state.beta.shape[0], rng, k)
         return None, not updated
     if isinstance(cp, GHG):
-        return hyperc.update_c_ghg_mh(state, cp, state.beta.shape[0], tuning, rng), False
+        return hyperc.update_c_ghg_mh(state, cp, state.beta.shape[0], tuning, rng, k), False
     raise ValidationError(f"unknown c prior {cp!r}")
 
 
@@ -164,10 +173,11 @@ def gibbs_sweep(
     sweep_kernel=sweep_blocks,
     tuning: hyperc.MhTuning = hyperc.MhTuning(),
 ):
-    """One full sweep: blocks j = 1..p, then sigma^2, then c, then t_n."""
+    """One full sweep: blocks j = 1..p, then sigma^2, then c, then t_n.
+    The later updates take |gamma| from the kernel."""
     uniforms = rng.random(d.p)
     normals = rng.standard_normal(d.p)
-    sweep_kernel(
+    k = sweep_kernel(
         d.x,
         d.col_sq_norms,
         state.beta,
@@ -179,9 +189,9 @@ def gibbs_sweep(
         uniforms,
         normals,
     )
-    update_sigma_sq(state, d, prior, rng)
-    accepted, skipped = _update_c(state, prior, tuning, rng)
-    update_t_n(state, prior, rng)
+    update_sigma_sq(state, d, prior, rng, k)
+    accepted, skipped = _update_c(state, prior, tuning, rng, k)
+    update_t_n(state, prior, rng, k)
     return accepted, skipped
 
 
@@ -194,7 +204,8 @@ def run_chain(
     """Run one chain and record post-burn-in draws.
 
     Model visit counts are per post-burn sweep (they sum to
-    n_iter - n_burn); scalar and beta draws are thinned by ``cfg.thin``.
+    n_iter - n_burn); scalar and beta draws are thinned by ``cfg.thin``
+    and written into arrays of ``cfg.n_draws`` rows made up front.
     """
     prior.validate_for(d.n, d.p)
 
@@ -203,7 +214,10 @@ def run_chain(
     sweep_kernel = get_sweep_kernel()
 
     model_counts: dict = {}
-    sigma_draws, c_draws, tn_draws, beta_rows = [], [], [], []
+    n_draws = cfg.n_draws
+    sigma_draws, c_draws = np.empty(n_draws), np.empty(n_draws)
+    tn_draws = np.empty(n_draws, dtype=np.int64)
+    beta_draws = np.empty((n_draws, d.p)) if cfg.record_beta else None
     mh_accepts = mh_proposals = skips = 0
 
     for it in range(cfg.n_iter):
@@ -227,18 +241,19 @@ def run_chain(
         gamma = state.gamma
         model_counts[gamma] = model_counts.get(gamma, 0) + 1
         if kept % cfg.thin == 0:
-            sigma_draws.append(state.sigma_sq)
-            c_draws.append(state.c)
-            tn_draws.append(state.t_n)
-            if cfg.record_beta:
-                beta_rows.append(state.beta.copy())
+            i = kept // cfg.thin
+            sigma_draws[i] = state.sigma_sq
+            c_draws[i] = state.c
+            tn_draws[i] = state.t_n
+            if beta_draws is not None:
+                beta_draws[i] = state.beta
 
     return ChainOutput(
         model_counts=model_counts,
-        sigma_sq_draws=np.array(sigma_draws),
-        c_draws=np.array(c_draws),
-        t_n_draws=np.array(tn_draws, dtype=np.int64),
-        beta_draws=np.array(beta_rows) if cfg.record_beta else None,
+        sigma_sq_draws=sigma_draws,
+        c_draws=c_draws,
+        t_n_draws=tn_draws,
+        beta_draws=beta_draws,
         mh_accept_rate=(mh_accepts / mh_proposals) if mh_proposals else None,
         c_update_skips=skips,
         seed=cfg.seed,

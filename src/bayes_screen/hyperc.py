@@ -40,22 +40,24 @@ def preset_c(kind: str, n: int, p: int) -> float:
     raise ValidationError(f"unknown preset {kind!r} (expected bic, ric or benchmark)")
 
 
-def gzs_conditional_params(state: SamplerState, prior_c: GZS, p: int):
-    """Shape/scale of the conjugate inverse-gamma full conditional of c."""
-    k = state.n_active
+def gzs_conditional_params(state: SamplerState, prior_c: GZS, p: int, k: int | None = None):
+    """Shape/scale of the conjugate inverse-gamma full conditional of c.
+    ``k`` is |gamma| when the caller already has it."""
+    if k is None:
+        k = state.n_active
     shape = prior_c.a + 0.5 * k
     bsq = float(state.beta @ state.beta)
     scale = math.exp(prior_c.log_scale(p)) + bsq / (2.0 * state.sigma_sq)
     return shape, scale
 
 
-def update_c_gzs(state: SamplerState, prior_c: GZS, p: int, rng: np.random.Generator) -> bool:
+def update_c_gzs(state: SamplerState, prior_c: GZS, p: int, rng: np.random.Generator, k: int | None = None) -> bool:
     """Conjugate IG(a + |gamma|/2, p^b_n + ||beta_gamma||^2/(2 sigma^2)) draw.
 
     Returns False (update skipped, c unchanged) for the degenerate case
     a = 0 with an empty model.
     """
-    shape, scale = gzs_conditional_params(state, prior_c, p)
+    shape, scale = gzs_conditional_params(state, prior_c, p, k)
     if shape <= 0:
         return False
     state.c = scale / rng.gamma(shape)
@@ -88,14 +90,17 @@ def update_c_ghg_mh(
     p: int,
     tuning: MhTuning,
     rng: np.random.Generator,
+    k: int | None = None,
 ) -> bool:
     """One random-walk MH step on kappa = log c. Returns the accept flag.
+    ``k`` is |gamma| when the caller already has it.
 
     Non-finite log target at the proposal auto-rejects, which preserves
     detailed balance with respect to the restricted support.
     """
     alpha_n = prior_c.alpha_n(p)
-    k = state.n_active
+    if k is None:
+        k = state.n_active
     bsq = float(state.beta @ state.beta)
     kappa_old = math.log(state.c)
     kappa_new = kappa_old + tuning.sigma_kappa * rng.standard_normal()

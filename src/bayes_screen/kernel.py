@@ -6,13 +6,22 @@ and normals[j] belong to coordinate j), so a chain's random stream does not
 depend on the path it takes.
 
 The update rule is written once, in ``_update_range``. At small p it runs
-over every coordinate. At larger p the sweep is screened: most coordinates
-are excluded and stay excluded, and for those the rule is a no-op (beta_j
-stays 0 and the residual is untouched). One gemv per chunk of columns
-scores every excluded coordinate, and a coordinate is skipped only when
-the scores prove that the scalar rule would reject it, with a margin that
-bounds the rounding of both the gemv and the rule's own dot product. So
-the screened sweep returns the same state as the full scan, bit for bit.
+over every coordinate, as a lean loop: the sweep hands it Python lists of
+beta, gamma, ||x_j||^2 and the variates, made once per sweep, and it
+walks the rows of ``x.T`` (the columns of the Fortran-ordered x) with one
+bound ``residual.dot``. Python floats and numpy float64 scalars round
+alike, so this is the same IEEE arithmetic in the same order as indexing
+arrays, at less interpreter cost per coordinate. ``residual -= col * diff``
+stays two rounded operations; a fused BLAS axpy would change the bits.
+
+At larger p the sweep is screened: most coordinates are excluded and stay
+excluded, and for those the rule is a no-op (beta_j stays 0 and the
+residual is untouched). One gemv per chunk of columns scores every
+excluded coordinate, and a coordinate is skipped only when the scores
+prove that the scalar rule would reject it, with a margin that bounds the
+rounding of both the gemv and the rule's own dot product. So the screened
+sweep returns the same state as the full scan, bit for bit. It runs the
+rule on the arrays themselves, one event at a time.
 """
 
 from __future__ import annotations
@@ -38,25 +47,31 @@ P0_SLACK = 1e-12
 
 def _update_range(x, col_sq, beta, gamma_mask, residual, sigma_sq, c, t_n, uniforms, normals, j0, j1, k) -> int:
     """Apply the block update to j = j0..j1-1 in place, starting from model
-    size ``k``; returns the new model size."""
+    size ``k``; returns the new model size.
+
+    ``col_sq``, ``beta``, ``gamma_mask``, ``uniforms`` and ``normals`` may be
+    arrays or Python lists: the rule only indexes them.
+    """
     inv_c = 1.0 / c
     half_log_c = 0.5 * math.log(c)
+    dot = residual.dot
 
-    for j in range(j0, j1):
-        col = x[:, j]
+    for j, col in zip(range(j0, j1), x.T[j0:j1]):
+        bj = beta[j]
         if k - (1 if gamma_mask[j] else 0) == t_n:
             if gamma_mask[j]:
-                residual += col * beta[j]
+                residual += col * bj
                 beta[j] = 0.0
                 gamma_mask[j] = 0
                 k -= 1
             continue
 
-        u = float(residual @ col) + beta[j] * col_sq[j]
+        cj = col_sq[j]
+        u = float(dot(col)) + bj * cj
         if not math.isfinite(u):
             raise FloatingPointError(f"non-finite u at coordinate {j}")
 
-        v2 = col_sq[j] + inv_c
+        v2 = cj + inv_c
         log_theta = -half_log_c - 0.5 * math.log(v2) + u * u / (2.0 * sigma_sq * v2)
         if log_theta >= 0.0:
             e = math.exp(-log_theta)
@@ -75,7 +90,7 @@ def _update_range(x, col_sq, beta, gamma_mask, residual, sigma_sq, c, t_n, unifo
                 gamma_mask[j] = 1
                 k += 1
 
-        diff = b_new - beta[j]
+        diff = b_new - bj
         if diff != 0.0:
             residual -= col * diff
             beta[j] = b_new
@@ -85,9 +100,19 @@ def _update_range(x, col_sq, beta, gamma_mask, residual, sigma_sq, c, t_n, unifo
 
 def sweep_scalar(x, col_sq, beta, gamma_mask, residual, sigma_sq, c, t_n, uniforms, normals) -> int:
     """The unscreened sweep: the rule at every j = 0..p-1; returns the new
-    model size. ``sweep_blocks`` gives the same result."""
-    return _update_range(x, col_sq, beta, gamma_mask, residual, sigma_sq, c, t_n, uniforms, normals,
-                         0, x.shape[1], int(np.count_nonzero(gamma_mask)))
+    model size. ``sweep_blocks`` gives the same result.
+
+    The rule runs on Python lists made once per sweep, which it indexes
+    faster than arrays; ``beta`` and ``gamma_mask`` are written back even
+    when the rule raises, so an abort leaves the same partial state.
+    """
+    b, g = beta.tolist(), gamma_mask.tolist()
+    try:
+        return _update_range(x, col_sq.tolist(), b, g, residual, sigma_sq, c, t_n,
+                             uniforms.tolist(), normals.tolist(), 0, x.shape[1], int(np.count_nonzero(gamma_mask)))
+    finally:
+        beta[:] = b
+        gamma_mask[:] = g
 
 
 def _reject_thresholds(col_sq, sigma_sq, c, uniforms):

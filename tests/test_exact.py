@@ -454,6 +454,19 @@ class TestSparseRiesz:
         assert report.condition_violated
         assert report.c0_estimate == math.inf
 
+    def test_x_without_columns_rejected(self):
+        with pytest.raises(ValidationError, match="one column"):
+            check_sparse_riesz(np.empty((5, 0)), r=1)
+
+    def test_non_finite_x_rejected(self):
+        # min(inf, nan) is inf, so an all-NaN x once reported a healthy design
+        with pytest.raises(ValidationError, match="non-finite"):
+            check_sparse_riesz(np.full((5, 2), np.nan), r=1)
+
+    def test_one_dimensional_x_rejected(self):
+        with pytest.raises(ValidationError, match="2-d"):
+            check_sparse_riesz(np.ones(5), r=1)
+
     def test_exact_budget_enforced(self):
         x = np.random.default_rng(0).standard_normal((10, 30))
         with pytest.raises(ValidationError, match="budget"):

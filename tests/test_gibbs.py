@@ -276,6 +276,128 @@ class TestScreenedSweep:
         assert (screened.mh_accept_rate, screened.c_update_skips) == (full.mh_accept_rate, full.c_update_skips)
 
 
+def reference_sweep(x, col_sq, beta, gamma_mask, residual, sigma_sq, c, t_n, uniforms, normals) -> int:
+    """The rule as it stood on arrays, before the lean loop: column views
+    ``x[:, j]``, ``residual @ col`` and numpy scalars. sweep_scalar must
+    leave the same bits."""
+    inv_c = 1.0 / c
+    half_log_c = 0.5 * math.log(c)
+    k = int(np.count_nonzero(gamma_mask))
+
+    for j in range(x.shape[1]):
+        col = x[:, j]
+        if k - (1 if gamma_mask[j] else 0) == t_n:
+            if gamma_mask[j]:
+                residual += col * beta[j]
+                beta[j] = 0.0
+                gamma_mask[j] = 0
+                k -= 1
+            continue
+
+        u = float(residual @ col) + beta[j] * col_sq[j]
+        if not math.isfinite(u):
+            raise FloatingPointError(f"non-finite u at coordinate {j}")
+
+        v2 = col_sq[j] + inv_c
+        log_theta = -half_log_c - 0.5 * math.log(v2) + u * u / (2.0 * sigma_sq * v2)
+        if log_theta >= 0.0:
+            e = math.exp(-log_theta)
+            p0 = e / (1.0 + e)
+        else:
+            p0 = 1.0 / (1.0 + math.exp(log_theta))
+
+        if uniforms[j] < p0:
+            b_new = 0.0
+            if gamma_mask[j]:
+                gamma_mask[j] = 0
+                k -= 1
+        else:
+            b_new = u / v2 + math.sqrt(sigma_sq / v2) * normals[j]
+            if not gamma_mask[j]:
+                gamma_mask[j] = 1
+                k += 1
+
+        diff = b_new - beta[j]
+        if diff != 0.0:
+            residual -= col * diff
+            beta[j] = b_new
+
+    return k
+
+
+class TestLeanRule:
+    """sweep_scalar runs the rule on Python lists and ``x.T`` rows; it must
+    leave exactly the state that the array-based rule leaves."""
+
+    @staticmethod
+    def _both(x, beta, mask, residual, sigma_sq, c, t_n, uniforms, normals):
+        col_sq = np.einsum("ij,ij->j", x, x)
+        states, ks = [], []
+        for kern in (sweep_scalar, reference_sweep):
+            b, m, r = beta.copy(), mask.copy(), residual.copy()
+            try:
+                ks.append(kern(x, col_sq, b, m, r, sigma_sq, c, t_n, uniforms, normals))
+            except FloatingPointError as exc:
+                ks.append(str(exc))
+            states.append((b, m, r))
+        return states, ks
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(3, 40),
+        p=st.integers(2, SCREEN_MIN_P - 1),
+        rho=st.floats(0.0, 0.99),
+        log10_c=st.floats(-8.0, 12.0),
+        start=st.sampled_from(["free", "saturated", "over"]),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_same_bits_as_reference_rule(self, n, p, rho, log10_c, start, fortran, seed, data):
+        rngen = np.random.default_rng(seed)
+        x = ar_design(rngen, n, p, rho)
+        x[:, data.draw(st.integers(1, p - 1), label="dup")] = x[:, 0]
+        if not fortran:
+            x = np.ascontiguousarray(x)
+        y = x[:, :2] @ rngen.normal(0.0, 2.0, 2) + rngen.standard_normal(n)
+        k0 = data.draw(st.integers(0, p), label="k0")
+        t_n = {"free": k0 + data.draw(st.integers(1, 5), label="room"),
+               "saturated": max(k0, 1), "over": max(k0 - 1, 1)}[start]
+        beta = np.zeros(p)
+        beta[rngen.choice(p, size=k0, replace=False)] = rngen.standard_normal(k0)
+        mask = (beta != 0.0).astype(np.uint8)
+        residual = y - x @ beta
+        c = 10.0**log10_c
+        for _ in range(3):
+            sigma_sq = float(rngen.uniform(0.1, 10.0))
+            states, ks = self._both(x, beta, mask, residual, sigma_sq, c, t_n,
+                                    rngen.random(p), rngen.standard_normal(p))
+            assert ks[0] == ks[1]
+            for a, b in zip(*states):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            beta, mask, residual = states[1]
+
+    def test_nan_residual_leaves_same_partial_state(self):
+        rngen = np.random.default_rng(7)
+        n, p = 20, 12
+        x = ar_design(rngen, n, p, 0.4)
+        beta = np.zeros(p)
+        beta[[0, 1, 9]] = [1.5, -0.5, 0.8]
+        mask = (beta != 0.0).astype(np.uint8)
+        residual = rngen.standard_normal(n)
+        residual[3] = np.nan
+        # t_n = 2 is one over the cap: coordinate 0 is forced out, and
+        # coordinate 1 is the first the rule scores; with t_n = 6 coordinate 0 is
+        for t_n, first in ((2, 1), (6, 0)):
+            states, ks = self._both(x, beta, mask, residual, 1.0, 30.0, t_n,
+                                    rngen.random(p), rngen.standard_normal(p))
+            assert ks[0] == ks[1] == f"non-finite u at coordinate {first}"
+            for a, b in zip(states[0][:2], states[1][:2]):
+                assert a.tobytes() == b.tobytes()
+            np.testing.assert_array_equal(states[0][2], states[1][2])
+            assert (states[0][0][0] == 0.0) == (t_n == 2)
+
+
 class TestScalarUpdates:
     def test_sigma_sq_conjugate_moments(self):
         d, _ = make_dataset(n=40, p=4, s=2, seed=9)
