@@ -376,9 +376,14 @@ def cmd_diagnose(args) -> int:
     scalars = []
     for path in args.scalars:
         try:
-            scalars.append(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2))
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         except OSError as exc:
             raise ValidationError(f"cannot read scalars file {path}: {exc}") from exc
+        except ValueError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+        if table.shape[1] < 3:
+            raise ValidationError(f"{path}: expected rows of iter,sigma_sq,c,t_n")
+        scalars.append(table)
     rows = _chain_diagnostics([s[:, 1] for s in scalars], [s[:, 2] for s in scalars])
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -3,6 +3,8 @@
 All scores are natural-log unnormalized posterior masses. A model is a
 sorted tuple of 0-based column indices. Models larger than the size cap
 carry no score (represented as ``None``), never as -inf arithmetic.
+``scipy.stats`` is imported only by the g-prior quadrature behind
+``log_unnorm_posterior_g``, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.special import logsumexp
 
 from .data import GHG, GZS, Dataset, PriorConfig, ValidationError, check_model
@@ -206,6 +207,10 @@ def _leggauss(n_nodes: int):
 def _c_prior_logpdf_and_bounds(c_prior, p: int):
     """Log-density of g(c) and quantile-based integration bounds in c,
     computed once per (prior, p): both prior classes are frozen."""
+    # imported here, not at module level: scipy.stats is slow and large to
+    # import, and no CLI command reaches this function
+    from scipy import stats
+
     if isinstance(c_prior, GZS):
         if c_prior.a <= 0:
             raise ValidationError("quadrature requires proper g-prior (GZS a > 0)")

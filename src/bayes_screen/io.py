@@ -33,7 +33,10 @@ def read_dataset(path) -> Dataset:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "y":
             raise ValidationError(f"{path}: expected header starting with 'y'")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
     if data.shape[1] != len(header):
         raise ValidationError(f"{path}: row width does not match header")
     return Dataset(data[:, 0], data[:, 1:])

@@ -193,17 +193,30 @@ def test_criterion_07_mh_stationarity_vs_quadrature_target():
             f"{kept.size} thinned draws from 1e6 steps")
 
 
-def _joint_log_density(beta_vec, tau, gamma, d, c, nu):
-    """Log joint of (Y, beta_gamma, tau = 1/sigma^2) up to gamma-free constants."""
-    beta_full = np.zeros(d.p)
-    for j, b in zip(gamma, beta_vec):
-        beta_full[j] = b
-    resid = d.y - d.x @ beta_full
+def _joint_log_density(gamma, d, c, nu):
+    """Log joint of (Y, beta_gamma, tau = 1/sigma^2) up to gamma-free
+    constants, as a function of (tau, beta_gamma) for a model of size <= 2.
+
+    The residual sum of squares comes from X_g'X_g, X_g'y and y'y, worked out
+    once here, so each of the quadrature's many calls is scalar arithmetic.
+    """
     k = len(gamma)
-    bsq = float(np.dot(beta_vec, beta_vec))
-    return (0.5 * (d.n + k + nu - 2) * math.log(tau)
-            - 0.5 * tau * (float(resid @ resid) + bsq / c + 1.0)
-            - 0.5 * k * math.log(2.0 * math.pi * c))
+    xg = d.x[:, list(gamma)]
+    gram = np.zeros((2, 2))
+    xty = np.zeros(2)
+    gram[:k, :k] = xg.T @ xg
+    xty[:k] = xg.T @ d.y
+    (g11, g12), (_, g22) = gram.tolist()
+    h1, h2 = xty.tolist()
+    yty = float(d.y @ d.y)
+    half_df = 0.5 * (d.n + k + nu - 2)
+    const = -0.5 * k * math.log(2.0 * math.pi * c)
+
+    def log_density(tau, b1=0.0, b2=0.0):
+        rss = yty - 2.0 * (b1 * h1 + b2 * h2) + g11 * b1 * b1 + 2.0 * g12 * b1 * b2 + g22 * b2 * b2
+        return half_df * math.log(tau) - 0.5 * tau * (rss + (b1 * b1 + b2 * b2) / c + 1.0) + const
+
+    return log_density
 
 
 def test_criterion_08_kernel_matches_numerical_integration():
@@ -218,9 +231,10 @@ def test_criterion_08_kernel_matches_numerical_integration():
 
     def numeric_log_integral(gamma):
         k = len(gamma)
+        log_density = _joint_log_density(gamma, d, c, nu)
         if k == 0:
             val, _ = integrate.quad(
-                lambda tau: math.exp(_joint_log_density((), tau, gamma, d, c, nu)),
+                lambda tau: math.exp(log_density(tau)),
                 0.0, np.inf, limit=400)
             return math.log(val)
         # center and scale from the closed-form conditional posterior
@@ -229,19 +243,17 @@ def test_criterion_08_kernel_matches_numerical_integration():
         u = xg.T @ xg + np.eye(k) / c
         center = np.linalg.solve(u, xg.T @ d.y)
         sd = np.sqrt(np.diag(np.linalg.inv(u)))
-        shift = _joint_log_density(center, 1.0, gamma, d, c, nu)
+        shift = log_density(1.0, *center.tolist())
 
         if k == 1:
             val, _ = integrate.dblquad(
-                lambda b, tau: math.exp(
-                    _joint_log_density((b,), tau, gamma, d, c, nu) - shift),
+                lambda b, tau: math.exp(log_density(tau, b) - shift),
                 0.0, 40.0,
                 lambda _: center[0] - 12 * sd[0], lambda _: center[0] + 12 * sd[0],
                 epsabs=1e-12, epsrel=1e-10)
         else:
             val, _ = integrate.tplquad(
-                lambda b2, b1, tau: math.exp(
-                    _joint_log_density((b1, b2), tau, gamma, d, c, nu) - shift),
+                lambda b2, b1, tau: math.exp(log_density(tau, b1, b2) - shift),
                 0.0, 40.0,
                 lambda _: center[0] - 10 * sd[0], lambda _: center[0] + 10 * sd[0],
                 lambda *_: center[1] - 10 * sd[1], lambda *_: center[1] + 10 * sd[1],

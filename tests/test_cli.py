@@ -326,3 +326,24 @@ class TestNoColumns:
         assert "at least one row and one column" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+class TestMalformedCsv:
+    """A CSV that numpy cannot parse exits 2 and names the file."""
+
+    @pytest.mark.parametrize("argv, flag, text", [
+        (["fit", "--prior", "fixed", "--c", "5", "--iters", "100", "--burn", "10"], "--data",
+         "y,x1,x2\n1,2,3\n4,5\n"),
+        (["exact", "--tn", "1", "--c", "5"], "--data", "y,x1,x2\n1,2,3\n4,abc,6\n"),
+        (["check-riesz", "--r", "1"], "--data", "y,x1,x2\n1,2,3\n4,abc,6\n"),
+        (["diagnose"], "--scalars", "iter,sigma_sq,c,t_n\n0,1.5,abc,2\n"),
+        (["diagnose"], "--scalars", "iter\n0\n1\n"),
+    ], ids=["fit-ragged", "exact-non-numeric", "check-riesz-non-numeric",
+            "diagnose-non-numeric", "diagnose-one-column"])
+    def test_exits_2(self, tmp_path, capsys, argv, flag, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        out = tmp_path / "o"
+        assert run(argv + [flag, str(bad), "--out", str(out)]) == 2
+        assert "bad.csv" in capsys.readouterr().err
+        assert not out.exists()
